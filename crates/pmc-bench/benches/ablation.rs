@@ -1,10 +1,9 @@
-//! Criterion ablations: decomposition strategy, Monge engine, ε, and
-//! the interest filter — all on one fixed 2-respecting solve.
+//! Criterion ablations: decomposition strategies, ε, and the interest
+//! filter — all on one fixed 2-respecting solve.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pmc_bench::workloads::graph_with_tree;
 use pmc_mincut::{naive_two_respecting, two_respecting_mincut, InterestStrategy, TwoRespectParams};
-use pmc_monge::RowMinimaAlgo;
 use pmc_parallel::Meter;
 use pmc_tree::{PathStrategy, RootedTree};
 use std::hint::black_box;
@@ -28,13 +27,6 @@ fn bench_ablation(c: &mut Criterion) {
         (
             "bough",
             TwoRespectParams { strategy: PathStrategy::Bough, ..TwoRespectParams::default() },
-        ),
-        (
-            "dc_monge",
-            TwoRespectParams {
-                monge_algo: RowMinimaAlgo::DivideConquer,
-                ..TwoRespectParams::default()
-            },
         ),
         ("eps_0.1", TwoRespectParams { eps: 0.1, ..TwoRespectParams::default() }),
         ("eps_0.75", TwoRespectParams { eps: 0.75, ..TwoRespectParams::default() }),

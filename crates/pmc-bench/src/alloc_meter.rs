@@ -5,16 +5,15 @@
 //! [`CountingAlloc`] as their `#[global_allocator]` and bracket each
 //! phase with [`measure`], which reports how many heap allocations the
 //! phase performed and how far the live-byte high-water mark rose above
-//! the phase's entry level. The `allocs` bin turns those gauges into
-//! `BENCH_allocs.json` rows, and its `--smoke` mode (CI) asserts the
+//! the phase's entry level. `tests/zero_alloc_gate.rs` asserts the
 //! steady-state `cut_batch_into`/`cov_batch_into` gauges are exactly 0.
 //!
 //! The wrapper delegates every operation to [`System`] and adds three
 //! relaxed atomic counters, so it is cheap enough to leave installed
 //! for whole benchmark runs. Counters are process-global: gauges are
-//! meaningful when the measured phase runs single-threaded (the bench
-//! binaries pin a 1-thread pool for the gated phases) or when
-//! concurrent allocation noise is acceptable.
+//! meaningful when the measured phase runs single-threaded (the gated
+//! batch kernels are) or when concurrent allocation noise is
+//! acceptable.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -167,8 +166,8 @@ mod tests {
     // NOTE: these tests do not install the allocator (a test binary
     // can't, per-crate, without affecting every other test); they pin
     // the pure accounting logic instead. End-to-end counting is covered
-    // by the root `zero_alloc_gate` integration test and the `allocs`
-    // bin, each of which installs `CountingAlloc` for its whole binary.
+    // by the root `zero_alloc_gate` integration test, which installs
+    // `CountingAlloc` for its whole binary.
 
     /// One sequential test (the counters are process-global; parallel
     /// sibling tests poking them would race the deltas).

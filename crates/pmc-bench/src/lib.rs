@@ -1,16 +1,13 @@
 //! Experiment harness for the reproduction.
 //!
-//! Each module is one experiment family from DESIGN.md's experiment
-//! index (`T1`, `E-3.1`, `E-4.2`, ...), shared between the runnable
-//! binaries (`cargo run -p pmc-bench --release --bin <name>`) and the
-//! Criterion micro-benches. Results print as aligned text tables so
-//! `EXPERIMENTS.md` can quote them directly.
+//! `experiments` holds one runner per entry of DESIGN.md's experiment
+//! index (`T1`, `E-3.1`, `E-4.2`, ...), shared between the experiment
+//! runner (`cargo run -p pmc-bench --release -- <experiment>`) and the
+//! Criterion micro-benches. Results print as aligned text tables.
 
 pub mod alloc_meter;
-pub mod bench_json;
 pub mod experiments;
 pub mod table;
 pub mod workloads;
 
-pub use bench_json::BenchRecord;
 pub use table::Table;

@@ -1,0 +1,224 @@
+//! `pmc-bench` — the experiment runner: one subcommand per experiment of
+//! DESIGN.md §6, each printing an aligned table and a reading guide.
+//!
+//! ```text
+//! cargo run -p pmc-bench --release -- <experiment> [full] [--smoke [n]] [--workload w]
+//! ```
+//!
+//! `full` selects the larger size ladder. `ablation` and `speedup` take
+//! `--smoke [n]`, the CI gates; `speedup` also takes `--workload`.
+//! Unknown experiments or arguments print usage and exit 2.
+//!
+//! End-to-end and per-phase wall time is the `perfbench` crate's job
+//! (`perfbench/README.md`); these experiments reproduce the paper's
+//! operation-count, quality, and scaling claims.
+
+use pmc_bench::experiments::{
+    measure_speedup_workload, run_ablation, run_approx_quality, run_depth_scaling,
+    run_eps_sweep, run_gauges, run_packing_stats, run_table1, run_two_respect_scaling,
+};
+use pmc_bench::{workloads, Table};
+use std::process::ExitCode;
+
+const EXPERIMENTS: &str = "table1 approx_quality two_respect_scaling packing_stats \
+                           epsilon_sweep depth_scaling gauges ablation speedup";
+
+/// The arguments after the experiment name.
+#[derive(Default)]
+struct Opts {
+    full: bool,
+    /// `Some(n)` under `--smoke`, with the optional size that follows it.
+    smoke: Option<Option<usize>>,
+    workload: Option<String>,
+}
+
+fn parse(args: &[String]) -> Option<Opts> {
+    let mut o = Opts::default();
+    let mut it = args.iter().peekable();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "full" => o.full = true,
+            "--smoke" => {
+                let n = it.peek().and_then(|s| s.parse().ok());
+                if n.is_some() {
+                    it.next();
+                }
+                o.smoke = Some(n);
+            }
+            "--workload" => o.workload = Some(it.next()?.clone()),
+            _ => return None,
+        }
+    }
+    Some(o)
+}
+
+fn usage() -> ExitCode {
+    eprintln!(
+        "usage: pmc-bench <experiment> [full] [--smoke [n]] [--workload w]\n  \
+         experiments: {EXPERIMENTS}\n  \
+         --smoke: ablation and speedup only; --workload \
+         (uniform|fishbone|powerlaw|nearclique): speedup only"
+    );
+    ExitCode::from(2)
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some((name, rest)) = args.split_first() else { return usage() };
+    let Some(o) = parse(rest) else { return usage() };
+    let takes_smoke = matches!(name.as_str(), "ablation" | "speedup");
+    if (o.smoke.is_some() && !takes_smoke) || (o.workload.is_some() && name != "speedup") {
+        return usage();
+    }
+    let ladder = |quick: &'static [usize], full: &'static [usize]| if o.full { full } else { quick };
+    match name.as_str() {
+        "table1" => report(
+            run_table1(ladder(&[128, 256, 512], &[128, 256, 512, 1024, 2048]), 0x71),
+            "Table 1 — total work: this paper vs the no-filter baseline (non-sparse m ~ n^1.5)",
+            "'ours/(m·lg n)' flattening = the O(m log n) work claim;\n\
+             'naive/(m·lg⁴n)' bounded = the baseline tracks the GG18-era m·polylog profile;\n\
+             'naive/ours' growing with n = the paper's Ω(log³ n) separation (Table 1's shape).",
+        ),
+        "approx_quality" => report(
+            run_approx_quality(ladder(&[24, 48], &[24, 48, 96, 192]), 7),
+            "Theorem 3.1 — approximation quality (λ̂/λ must stay within a constant band)",
+            "λ̂/λ in [1/3, 3] = the O(1)-approximation; refined/λ near 1±ε = the refinement.",
+        ),
+        "two_respect_scaling" => report(
+            run_two_respect_scaling(
+                ladder(&[256, 512, 1024, 2048], &[256, 512, 1024, 2048, 4096, 8192]),
+                0.5,
+                42,
+            ),
+            "Theorem 4.2 — 2-respecting solver work vs m·lg m + n·lg³ n",
+            "the ratio column flattening confirms the O(m log m + n log³ n) bound.",
+        ),
+        "packing_stats" => report(
+            run_packing_stats(ladder(&[64, 128], &[64, 128, 256, 512]), 23),
+            "Theorem 4.18 — packing statistics (some tree must 2-respect the optimum)",
+            "'2-respecting trees' ≥ 1 realizes Karger's packing guarantee.",
+        ),
+        "epsilon_sweep" => report(
+            run_eps_sweep(
+                if o.full { 4096 } else { 1024 },
+                &[0.08, 0.15, 0.25, 0.5, 0.75, 1.0],
+                11,
+            ),
+            "Theorem 4.26 — ε sweep: build work falls with ε, query work rises (n^ε fan-out)",
+            "dense graphs tolerate larger ε (build dominates); sparse prefer small ε.",
+        ),
+        "depth_scaling" => report(
+            run_depth_scaling(ladder(&[128, 256, 512], &[128, 256, 512, 1024, 2048]), 13),
+            "Depth — D̂ from T_p = W/p + D (Theorem 4.1 predicts D = O(log³ n))",
+            "D̂/lg³n flattening = polylogarithmic depth in practice.",
+        ),
+        "gauges" => report(
+            run_gauges(ladder(&[128, 256, 512], &[128, 256, 512, 1024, 2048]), 99),
+            "Structural depth gauges (each bounded by the claimed polylog)",
+            "packing iterations track lg²n; hierarchy levels are bounded by\n\
+             lg(total weight); range height is O(1/ε) (constant in n at fixed ε); tree height\n\
+             is the per-tree critical path of the cut-finding stage (max over packed trees);\n\
+             graph/tree build are the engine's construction critical paths (DESIGN.md §8),\n\
+             attributed separately from query depth.",
+        ),
+        "ablation" => ablation(&o),
+        "speedup" => return speedup(&o),
+        _ => return usage(),
+    }
+    ExitCode::SUCCESS
+}
+
+fn report(t: Table, title: &str, guide: &str) {
+    t.print(title);
+    println!("\nReading guide: {guide}");
+}
+
+/// E-ablate. Every variant must agree with the all-pairs oracle
+/// (asserted inside the runner), so the strategy comparison cannot rot;
+/// `--smoke` runs a reduced size for CI and also gates the LCA
+/// substrate: sparse-table steps strictly below lifting's on the same
+/// query stream.
+fn ablation(o: &Opts) {
+    let n = match o.smoke {
+        Some(n) => n.unwrap_or(128),
+        None if o.full => 2048,
+        None => 512,
+    };
+    let (t, summary) = run_ablation(n, 19);
+    report(
+        t,
+        "Ablations — one 2-respecting solve, all variants must agree on the value",
+        "the naive row shows the work the interest filter removes;\n\
+         the centroid vs heavy-path rows meter Claim 4.13's O(log n) arm tracing against\n\
+         the O(log² n) fallback ('interest qs'); the lifting-LCA row shows the per-query\n\
+         step count the sparse table collapses to one ('lca steps').",
+    );
+    if o.smoke.is_some() {
+        assert!(
+            summary.sparse_lca_steps < summary.lifting_lca_steps,
+            "sparse-table LCA steps ({}) not strictly below lifting's ({}) at n = {n}",
+            summary.sparse_lca_steps,
+            summary.lifting_lca_steps
+        );
+        println!(
+            "\n--smoke: all variants agreed with the all-pairs oracle at n = {n}; \
+             sparse LCA steps {} < lifting {}.",
+            summary.sparse_lca_steps, summary.lifting_lca_steps
+        );
+    }
+}
+
+/// E-speedup gate: the chosen workload at `n` (defaults: 20 000 uniform,
+/// 6 000 fishbone, 8 000 powerlaw, 1 500 nearclique) must run at least
+/// 1.4× faster at 4 threads than the fixed 1-thread baseline (1.3× on
+/// the fishbone skew adversary, which a static splitter strands on one
+/// thread), with identical cut values. The ratio is only asserted where
+/// the hardware has ≥ 4 threads; elsewhere value agreement is still
+/// checked, unless `PMC_BENCH_STRICT=1` turns the skip into a failure.
+fn speedup(o: &Opts) -> ExitCode {
+    const SMOKE_THREADS: usize = 4;
+    let which = o.workload.as_deref().unwrap_or("uniform");
+    let (min_speedup, default_n) = match which {
+        "uniform" => (1.4, 20_000),
+        "fishbone" => (1.3, 6_000),
+        // Dense regimes: smaller n, m is what grows (nearclique is
+        // Θ(n²) edges — 1 500 vertices is already ~1M edges).
+        "nearclique" => (1.4, 1_500),
+        "powerlaw" => (1.4, 8_000),
+        _ => return usage(),
+    };
+    let n = o.smoke.flatten().unwrap_or(default_n);
+    let hw = std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1);
+    let w = workloads::by_name(which, n, 17);
+    let (t1, tp) = measure_speedup_workload(&w, SMOKE_THREADS);
+    let ratio = t1 / tp;
+    println!(
+        "E-speedup smoke [{}]: n={}, T1={t1:.0} ms, T{SMOKE_THREADS}={tp:.0} ms, \
+         speedup {ratio:.2}x (hardware threads: {hw})",
+        w.name,
+        w.graph.n()
+    );
+    if hw >= SMOKE_THREADS {
+        assert!(
+            ratio >= min_speedup,
+            "[{}] speedup {ratio:.2}x at {SMOKE_THREADS} threads is below the \
+             {min_speedup}x gate (T1={t1:.0} ms, Tp={tp:.0} ms)",
+            w.name
+        );
+        println!("PASS: speedup >= {min_speedup}x");
+    } else if std::env::var("PMC_BENCH_STRICT").is_ok_and(|v| v == "1") {
+        // CI sets PMC_BENCH_STRICT=1: a runner too narrow to run the
+        // gate is a job failure, not a silent green.
+        eprintln!(
+            "FAIL: {hw} hardware threads < {SMOKE_THREADS} required for the speedup \
+             gate and PMC_BENCH_STRICT=1 — refusing to skip"
+        );
+        return ExitCode::from(2);
+    } else {
+        println!(
+            "SKIPPED assertion: fewer than {SMOKE_THREADS} hardware threads; \
+             value agreement across thread counts still checked"
+        );
+    }
+    ExitCode::SUCCESS
+}

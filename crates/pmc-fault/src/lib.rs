@@ -254,6 +254,9 @@ mod tests {
 
     #[test]
     fn disabled_probes_are_inert() {
+        // Sibling tests arm scopes on other test threads; holding the
+        // serial lock keeps every scope disarmed for this test's body.
+        let _serial = serial_lock().lock().unwrap_or_else(|e| e.into_inner());
         point("nope");
         point_panicking("nope");
         assert!(!faults_active());

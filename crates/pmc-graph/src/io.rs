@@ -15,6 +15,12 @@
 use crate::graph::{Graph, GraphBuilder};
 use std::fmt::Write as _;
 
+/// Exclusive bound on a graph's total edge weight: `2^62`. Below it the
+/// solver's coverage pass, which sums `±2·w` terms in `i64`, and every
+/// `u64` cut sum stay in range, so [`parse_graph`] rejects heavier
+/// inputs with [`ParseError::WeightTooLarge`].
+pub const TOTAL_WEIGHT_LIMIT: u64 = 1 << 62;
+
 /// Serialization error for [`parse_graph`]. Every malformed input —
 /// truncated files, garbage records, negative weights, out-of-range
 /// endpoints, self-loops — maps to a typed variant with the failing
@@ -35,6 +41,9 @@ pub enum ParseError {
     /// workspace (min-cut needs non-negative weights); a leading `-`
     /// gets this dedicated variant instead of a generic parse failure.
     NegativeWeight { line_no: usize },
+    /// The running total edge weight reached [`TOTAL_WEIGHT_LIMIT`] at
+    /// this line.
+    WeightTooLarge { line_no: usize },
 }
 
 impl std::fmt::Display for ParseError {
@@ -55,6 +64,9 @@ impl std::fmt::Display for ParseError {
             }
             ParseError::NegativeWeight { line_no } => {
                 write!(f, "line {line_no}: negative edge weight")
+            }
+            ParseError::WeightTooLarge { line_no } => {
+                write!(f, "line {line_no}: total edge weight reaches 2^62, beyond the solver's range")
             }
         }
     }
@@ -84,6 +96,7 @@ pub fn parse_graph(text: &str) -> Result<Graph, ParseError> {
     let mut declared_n = 0usize;
     let mut declared_m = 0usize;
     let mut found_m = 0usize;
+    let mut total = 0u64;
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
         let line = raw.trim();
@@ -144,6 +157,10 @@ pub fn parse_graph(text: &str) -> Result<Graph, ParseError> {
                 }
                 if u == v {
                     return Err(ParseError::SelfLoop { line_no, v: u });
+                }
+                total = total.saturating_add(w);
+                if total >= TOTAL_WEIGHT_LIMIT {
+                    return Err(ParseError::WeightTooLarge { line_no });
                 }
                 b.add_edge(u, v, w);
                 found_m += 1;
@@ -231,6 +248,17 @@ mod tests {
     }
 
     #[test]
+    fn total_weight_bound_is_exclusive() {
+        let under = format!("p 3 2\ne 0 1 {}\ne 1 2 1\n", TOTAL_WEIGHT_LIMIT - 2);
+        let g = parse_graph(&under).expect("total 2^62 - 1 is in range");
+        assert_eq!(g.total_weight(), TOTAL_WEIGHT_LIMIT - 1);
+        let at = format!("p 3 2\ne 0 1 {}\ne 1 2 2\n", TOTAL_WEIGHT_LIMIT - 2);
+        assert_eq!(parse_graph(&at).unwrap_err(), ParseError::WeightTooLarge { line_no: 3 });
+        let huge = format!("p 3 2\ne 0 1 {}\ne 1 2 {}\n", u64::MAX, u64::MAX);
+        assert_eq!(parse_graph(&huge).unwrap_err(), ParseError::WeightTooLarge { line_no: 2 });
+    }
+
+    #[test]
     fn duplicate_header_rejected() {
         let err = parse_graph("p 3 1\np 4 1\ne 0 1 2\n").unwrap_err();
         assert!(matches!(err, ParseError::BadLine { line_no: 2, .. }));
@@ -254,6 +282,11 @@ mod tests {
             "p 3 1\nexplode\n",                 // garbage record
             "p 3 1\ne 0 1 99999999999999999999999\n", // weight overflow
             "p 3 1\ne 0 1 -0\n",                // negative zero weight
+            // Total weight 3·2^62: Stoer–Wagner answers, the coverage
+            // pass overflowed `i64`.
+            "p 3 3\ne 0 1 4611686018427387904\ne 1 2 4611686018427387904\ne 0 2 4611686018427387904\n",
+            // Total weight 4·2^62 overflowed the builder's `u64` sum.
+            "p 4 4\ne 0 1 4611686018427387904\ne 1 2 4611686018427387904\ne 2 3 4611686018427387904\ne 3 0 4611686018427387904\n",
             "\u{0}\u{1}\u{2}",                  // binary garbage
         ];
         for (i, text) in fixtures.iter().enumerate() {

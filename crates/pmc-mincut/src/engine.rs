@@ -256,19 +256,6 @@ impl<'g> TreeContext<'g> {
         TreeContext { tree, lca, q, decomp, interest, params: *params, scratch: ScratchPool::new() }
     }
 
-    /// The pre-engine build profile: every sub-build back-to-back on
-    /// one thread. This is the rebuild-per-tree ablation baseline of
-    /// the `E-amortize` experiment, not a production path.
-    pub fn build_sequential(
-        g: &'g Graph,
-        tree: Arc<RootedTree>,
-        params: &TwoRespectParams,
-        meter: &Meter,
-    ) -> Self {
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().expect("pool");
-        pool.install(|| Self::build(g, tree, params, meter))
-    }
-
     /// Build from a packed tree's edge list (the Phase 5 entry point).
     pub fn from_edges(
         g: &'g Graph,
@@ -472,19 +459,6 @@ mod tests {
             assert_eq!(a.pair, b.pair, "trial {trial} reuse pair");
             assert_eq!(a.cut, free.cut, "trial {trial} vs free fn");
         }
-    }
-
-    #[test]
-    fn sequential_build_agrees_with_parallel() {
-        let mut rng = StdRng::seed_from_u64(813);
-        let g = generators::gnm_connected(22, 60, 5, &mut rng);
-        let tree = spanning_tree_of(&g, 0);
-        let m = Meter::disabled();
-        let params = TwoRespectParams::default();
-        let par = TreeContext::build(&g, Arc::clone(&tree), &params, &m);
-        let seq = TreeContext::build_sequential(&g, Arc::clone(&tree), &params, &m);
-        assert_eq!(par.solve(&m).cut, seq.solve(&m).cut);
-        assert_eq!(par.cov_all(), seq.cov_all());
     }
 
     #[test]

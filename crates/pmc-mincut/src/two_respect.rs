@@ -25,7 +25,7 @@ use crate::cutquery::CutQuery;
 use crate::engine::TreeContext;
 use crate::interest::{InterestEngine, InterestSearch, InterestStrategy};
 use pmc_graph::{CutResult, Graph};
-use pmc_monge::{monge_minimum_with, triangle_minimum_with, Orient, RowMinimaAlgo};
+use pmc_monge::{monge_minimum, triangle_minimum, Orient};
 use pmc_parallel::meter::Meter;
 use pmc_parallel::scratch::ScratchPool;
 use pmc_parallel::sort::SortScratch;
@@ -42,9 +42,6 @@ pub struct TwoRespectParams {
     pub eps: f64,
     /// Which Property-4.3 decomposition to use.
     pub strategy: PathStrategy,
-    /// Row-minima engine: SMAWK (work-optimal, the [RV94] substitute)
-    /// or divide-and-conquer (log-factor work, polylog span, [AKPS90]).
-    pub monge_algo: RowMinimaAlgo,
     /// Which decomposition traces the interest arms (Claim 4.13):
     /// centroid descent (`O(log n)` cut queries per edge, the default)
     /// or the heavy-path fallback (`O(log² n)`, DESIGN.md §2).
@@ -64,7 +61,6 @@ impl Default for TwoRespectParams {
         TwoRespectParams {
             eps: 0.25,
             strategy: PathStrategy::HeavyPath,
-            monge_algo: RowMinimaAlgo::Smawk,
             interest_strategy: InterestStrategy::default(),
             lca_strategy: LcaStrategy::default(),
         }
@@ -72,15 +68,14 @@ impl Default for TwoRespectParams {
 }
 
 impl TwoRespectParams {
-    /// The paper-faithful configuration of Theorem 4.2: SMAWK row
-    /// minima (the [RV94] substitute of §4.1.2/§4.1.3), centroid-descent
-    /// interest arms (Claim 4.13), and the O(1)-query Euler-tour LCA —
-    /// the variants the complexity statements assume. `Default`
+    /// The paper-faithful configuration of Theorem 4.2: centroid-descent
+    /// interest arms (Claim 4.13) and the O(1)-query Euler-tour LCA —
+    /// the variants the complexity statements assume. (Row minima are
+    /// always SMAWK, the [RV94] substitute of §4.1.2/§4.1.3.) `Default`
     /// currently coincides on the substrate knobs; `paper()` pins them
     /// explicitly so experiment configs stay stable if defaults move.
     pub fn paper() -> Self {
         TwoRespectParams {
-            monge_algo: RowMinimaAlgo::Smawk,
             interest_strategy: InterestStrategy::Centroid,
             lca_strategy: LcaStrategy::SparseTable,
             ..TwoRespectParams::default()
@@ -151,7 +146,6 @@ pub fn two_respecting_mincut(
 pub fn two_respecting_mincut_in(ctx: &TreeContext<'_>, meter: &Meter) -> TwoRespectOutcome {
     let tree = ctx.tree();
     let q = ctx.cut_query();
-    let params = ctx.params();
     if meter.is_enabled() {
         meter.record_depth("two_respect:tree_height", tree.height() as u64);
     }
@@ -175,8 +169,7 @@ pub fn two_respecting_mincut_in(ctx: &TreeContext<'_>, meter: &Meter) -> TwoResp
             if p.len() < 2 {
                 return Best::NONE;
             }
-            match triangle_minimum_with(
-                params.monge_algo,
+            match triangle_minimum(
                 p.len(),
                 Orient::Supermodular,
                 |i, j| q.cut(p[i], p[j], meter),
@@ -189,15 +182,8 @@ pub fn two_respecting_mincut_in(ctx: &TreeContext<'_>, meter: &Meter) -> TwoResp
         .reduce(|| Best::NONE, Best::min);
 
     // Stage 3: cross-path pairs via interest arms.
-    let cross = cross_path_minimum(
-        q,
-        ctx.lca(),
-        decomp,
-        params.monge_algo,
-        ctx.interest(),
-        ctx.scratch_pool(),
-        meter,
-    );
+    let cross =
+        cross_path_minimum(q, ctx.lca(), decomp, ctx.interest(), ctx.scratch_pool(), meter);
 
     let best = one.min(single).min(cross);
     debug_assert_ne!(best.value, u64::MAX);
@@ -210,12 +196,10 @@ pub fn two_respecting_mincut_in(ctx: &TreeContext<'_>, meter: &Meter) -> TwoResp
 
 /// Stage 3 worker: interest arms -> tuples -> symmetric join -> Monge
 /// blocks.
-#[allow(clippy::too_many_arguments)]
 fn cross_path_minimum(
     q: &CutQuery<'_>,
     lca: &LcaEngine,
     decomp: &PathDecomposition,
-    algo: RowMinimaAlgo,
     engine: &InterestEngine,
     pool: &ScratchPool,
     meter: &Meter,
@@ -289,7 +273,7 @@ fn cross_path_minimum(
             if r_run.is_empty() || s_run.is_empty() {
                 return Best::NONE;
             }
-            pair_minimum(q, r_run, s_run, algo, meter)
+            pair_minimum(q, r_run, s_run, meter)
         })
         .reduce(|| Best::NONE, Best::min)
 }
@@ -349,7 +333,6 @@ fn pair_minimum(
     q: &CutQuery<'_>,
     r: &[(u64, u32, u32)],
     s: &[(u64, u32, u32)],
-    algo: RowMinimaAlgo,
     meter: &Meter,
 ) -> Best {
     let tree = q.tree();
@@ -363,8 +346,7 @@ fn pair_minimum(
     let mut best = Best::NONE;
     if k > 0 {
         // Nested block: supermodular orientation.
-        if let Some(loc) = monge_minimum_with(
-            algo,
+        if let Some(loc) = monge_minimum(
             k,
             s.len(),
             Orient::Supermodular,
@@ -377,8 +359,7 @@ fn pair_minimum(
     if k < r.len() {
         // Incomparable block: submodular orientation.
         let rr = &r[k..];
-        if let Some(loc) = monge_minimum_with(
-            algo,
+        if let Some(loc) = monge_minimum(
             rr.len(),
             s.len(),
             Orient::Submodular,

@@ -9,9 +9,9 @@
 //!   This is the deterministic substitute for Raman–Vishkin's randomized
 //!   `O(ℓ)` Monge minimum ([RV94]; see DESIGN.md).
 //! * [`dc_row_minima`]: divide-and-conquer row minima,
-//!   `O((rows+cols) log rows)` evaluations but parallel across the two
-//!   halves — the depth-friendly option the paper attributes to
-//!   [AKPS90]-style searching.
+//!   `O((rows+cols) log rows)` evaluations, [AKPS90]-style. No solver
+//!   path runs it; it is the independent oracle SMAWK is tested
+//!   against.
 //! * [`monge_minimum`]: global minimum of a full Monge matrix.
 //! * [`triangle_minimum`]: minimum over `{(i, j) : i < j}` of a partial
 //!   Monge matrix (single-path case, §4.1.2): recursive block
@@ -273,33 +273,6 @@ fn dc_rec_slice<F>(
     );
 }
 
-/// Which row-minima engine to use: SMAWK is work-optimal (`O(r + c)`
-/// evaluations, sequential span); divide-and-conquer pays a `log r`
-/// work factor for a polylogarithmic span — the same trade the paper
-/// navigates between [RV94] and [AKPS90].
-///
-/// Both engines return the **leftmost** argmin per row, bit-for-bit:
-/// strategy choice never changes a witness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RowMinimaStrategy {
-    #[default]
-    Smawk,
-    DivideConquer,
-}
-
-impl RowMinimaStrategy {
-    pub fn name(self) -> &'static str {
-        match self {
-            RowMinimaStrategy::Smawk => "smawk",
-            RowMinimaStrategy::DivideConquer => "divide-conquer",
-        }
-    }
-}
-
-/// Former name of [`RowMinimaStrategy`], kept as an alias so existing
-/// call sites and params structs keep compiling.
-pub type RowMinimaAlgo = RowMinimaStrategy;
-
 /// Global minimum of a full Monge matrix with the given orientation.
 ///
 /// `O(rows + cols)` evaluations via SMAWK.
@@ -311,35 +284,16 @@ pub fn monge_minimum<F>(
     meter: &Meter,
 ) -> Option<Located>
 where
-    F: Fn(usize, usize) -> u64 + Sync,
-{
-    monge_minimum_with(RowMinimaAlgo::Smawk, rows, cols, orient, f, meter)
-}
-
-/// [`monge_minimum`] with an explicit row-minima engine.
-pub fn monge_minimum_with<F>(
-    algo: RowMinimaAlgo,
-    rows: usize,
-    cols: usize,
-    orient: Orient,
-    f: F,
-    meter: &Meter,
-) -> Option<Located>
-where
-    F: Fn(usize, usize) -> u64 + Sync,
+    F: Fn(usize, usize) -> u64,
 {
     if rows == 0 || cols == 0 {
         return None;
     }
-    let run = |g: &(dyn Fn(usize, usize) -> u64 + Sync)| match algo {
-        RowMinimaAlgo::Smawk => smawk_row_minima(rows, cols, g, meter),
-        RowMinimaAlgo::DivideConquer => dc_row_minima(rows, cols, g, meter),
-    };
     let minima = match orient {
-        Orient::Submodular => run(&f),
+        Orient::Submodular => smawk_row_minima(rows, cols, &f, meter),
         Orient::Supermodular => {
             // Reverse columns: supermodular becomes submodular.
-            let mut m = run(&|i: usize, j: usize| f(i, cols - 1 - j));
+            let mut m = smawk_row_minima(rows, cols, |i, j| f(i, cols - 1 - j), meter);
             for loc in &mut m {
                 if loc.col != usize::MAX {
                     loc.col = cols - 1 - loc.col;
@@ -361,28 +315,13 @@ pub fn triangle_minimum<F>(k: usize, orient: Orient, f: F, meter: &Meter) -> Opt
 where
     F: Fn(usize, usize) -> u64 + Sync,
 {
-    triangle_minimum_with(RowMinimaAlgo::Smawk, k, orient, f, meter)
-}
-
-/// [`triangle_minimum`] with an explicit row-minima engine.
-pub fn triangle_minimum_with<F>(
-    algo: RowMinimaAlgo,
-    k: usize,
-    orient: Orient,
-    f: F,
-    meter: &Meter,
-) -> Option<Located>
-where
-    F: Fn(usize, usize) -> u64 + Sync,
-{
     if k < 2 {
         return None;
     }
-    triangle_rec(algo, 0, k, orient, &f, meter)
+    triangle_rec(0, k, orient, &f, meter)
 }
 
 fn triangle_rec<F>(
-    algo: RowMinimaAlgo,
     lo: usize,
     hi: usize,
     orient: Orient,
@@ -403,13 +342,13 @@ where
     let mid = (lo + hi) / 2;
     let (block, halves) = rayon::join(
         || {
-            monge_minimum_with(algo, mid - lo, hi - mid, orient, |i, j| f(lo + i, mid + j), meter)
+            monge_minimum(mid - lo, hi - mid, orient, |i, j| f(lo + i, mid + j), meter)
                 .map(|l| Located { row: lo + l.row, col: mid + l.col, value: l.value })
         },
         || {
             let (a, b) = rayon::join(
-                || triangle_rec(algo, lo, mid, orient, f, meter),
-                || triangle_rec(algo, mid, hi, orient, f, meter),
+                || triangle_rec(lo, mid, orient, f, meter),
+                || triangle_rec(mid, hi, orient, f, meter),
             );
             match (a, b) {
                 (Some(x), Some(y)) => Some(x.min(y)),

@@ -110,9 +110,9 @@ impl LcaTable {
     }
 }
 
-/// Which engine answers plain `lca(a, b)` queries. Mirrors
-/// `InterestStrategy`/`RowMinimaStrategy`: a params enum with a
-/// human-readable [`name`](LcaStrategy::name) for ablation tables.
+/// Which engine answers plain `lca(a, b)` queries. Like
+/// `InterestStrategy`, a params enum with a human-readable
+/// [`name`](LcaStrategy::name) for ablation tables.
 ///
 /// Level-ancestor queries (`kth_ancestor`, `ancestor_at_depth`) are not
 /// affected — both strategies keep the binary-lifting table for those.

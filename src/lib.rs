@@ -10,7 +10,8 @@
 //! * [`tree`] — rooted-tree machinery (Euler tours, LCA, path and
 //!   centroid decompositions);
 //! * [`range`] — the `n^ε`-ary range-sum structures of Lemmas 4.24/4.25;
-//! * [`monge`] — SMAWK and divide-and-conquer Monge minimum searches;
+//! * [`monge`] — SMAWK Monge minimum searches (divide-and-conquer row
+//!   minima kept as a test oracle);
 //! * [`sparsify`] — skeletons, sampling hierarchies, certificates;
 //! * [`mincut`] — the paper's algorithms: 2-respecting solver, tree
 //!   packing, approximate and exact minimum cut;
@@ -48,7 +49,6 @@ pub mod prelude {
         ExactResult, GraphContext, InterestStrategy, TreeContext, TwoRespectParams,
     };
     pub use pmc_fault::{Deadline, DegradeReason, FaultPlan, PmcError, SolveQuality};
-    pub use pmc_monge::RowMinimaStrategy;
     pub use pmc_parallel::{
         with_scratch, CostKind, CostReport, Meter, Scratch, ScratchPool, SortScratch,
     };

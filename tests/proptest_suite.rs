@@ -41,6 +41,29 @@ proptest! {
         prop_assert_eq!(got.cut.value, expect);
     }
 
+    /// The weight domain's edge: graphs scaled to a total weight just
+    /// under `TOTAL_WEIGHT_LIMIT` parse, and the pipeline still agrees
+    /// with Stoer–Wagner (no `i64` coverage or `u64` sum overflows).
+    #[test]
+    fn pipeline_exact_just_under_the_weight_limit(
+        n in 3usize..12,
+        extra in 0usize..20,
+        seed in 0u64..1000,
+    ) {
+        let small = graph_from(n, extra, 1000, seed);
+        let limit = pmc_graph::io::TOTAL_WEIGHT_LIMIT as u128;
+        let total = small.total_weight() as u128;
+        let edges = small.edges().iter().map(|e| {
+            (e.u, e.v, (e.w as u128 * (limit - 1) / total) as u64)
+        });
+        let text = pmc_graph::io::write_graph(&Graph::from_edges(small.n(), edges));
+        let g = pmc_graph::io::parse_graph(&text).expect("total below the limit parses");
+        prop_assert!(g.total_weight() as u128 > limit - limit / 64);
+        let expect = stoer_wagner_mincut(&g).value;
+        let got = exact_mincut(&g, &ExactParams { seed, ..ExactParams::default() });
+        prop_assert_eq!(got.cut.value, expect);
+    }
+
     /// cut(e, f) from the range structure equals the partition value.
     #[test]
     fn cut_queries_match_partitions(

@@ -105,11 +105,11 @@ fn exact_pipeline_matches_stoer_wagner_under_both_strategies() {
     }
 }
 
-/// The O(1)-query substrate acceptance check: every `LcaStrategy` ×
-/// `RowMinimaStrategy` combination returns bit-identical cut values AND
-/// witness pairs, under forced 1/2/4-thread pools. LCAs are unique and
-/// both row-minima engines pin the leftmost argmin, so swapping either
-/// substrate (or the pool width) must not move a single bit of output.
+/// The O(1)-query substrate acceptance check: every `LcaStrategy`
+/// returns bit-identical cut values AND witness pairs, under forced
+/// 1/2/4-thread pools. LCAs are unique and SMAWK pins the leftmost
+/// argmin, so swapping the substrate (or the pool width) must not move
+/// a single bit of output.
 #[test]
 fn substrate_strategies_are_bit_identical_across_pools() {
     let mut rng = StdRng::seed_from_u64(0x5AB5);
@@ -120,30 +120,19 @@ fn substrate_strategies_are_bit_identical_across_pools() {
         let m = Meter::disabled();
         let mut reference: Option<(u64, (u32, u32))> = None;
         for lca_strategy in [LcaStrategy::Lifting, LcaStrategy::SparseTable] {
-            for monge_algo in [RowMinimaStrategy::DivideConquer, RowMinimaStrategy::Smawk] {
-                for threads in [1usize, 2, 4] {
-                    let pool = rayon::ThreadPoolBuilder::new()
-                        .num_threads(threads)
-                        .build()
-                        .expect("pool");
-                    let out = pool.install(|| {
-                        let params = TwoRespectParams {
-                            lca_strategy,
-                            monge_algo,
-                            ..TwoRespectParams::default()
-                        };
-                        two_respecting_mincut(&g, &t, &params, &m)
-                    });
-                    let label = format!(
-                        "trial {trial} {:?}/{:?} @ {threads} threads",
-                        lca_strategy, monge_algo
-                    );
-                    match reference {
-                        None => reference = Some((out.cut.value, out.pair)),
-                        Some((v, pair)) => {
-                            assert_eq!(out.cut.value, v, "{label}: cut value moved");
-                            assert_eq!(out.pair, pair, "{label}: witness pair moved");
-                        }
+            for threads in [1usize, 2, 4] {
+                let pool =
+                    rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
+                let out = pool.install(|| {
+                    let params = TwoRespectParams { lca_strategy, ..TwoRespectParams::default() };
+                    two_respecting_mincut(&g, &t, &params, &m)
+                });
+                let label = format!("trial {trial} {lca_strategy:?} @ {threads} threads");
+                match reference {
+                    None => reference = Some((out.cut.value, out.pair)),
+                    Some((v, pair)) => {
+                        assert_eq!(out.cut.value, v, "{label}: cut value moved");
+                        assert_eq!(out.pair, pair, "{label}: witness pair moved");
                     }
                 }
             }

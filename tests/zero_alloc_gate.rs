@@ -5,8 +5,9 @@
 //! (DESIGN.md §13).
 //!
 //! One `#[test]` only: the gauge is process-global, so sibling tests
-//! running on harness threads would pollute the counters. The bench-bin
-//! twin of this gate is `pmc-bench --bin allocs --smoke`.
+//! running on harness threads would pollute the counters. CI also runs
+//! it in a release build (`cargo test --release --test zero_alloc_gate`),
+//! so the gate holds under the optimizer too.
 
 use parallel_mincut::prelude::*;
 use pmc_bench::alloc_meter::{self, CountingAlloc};
