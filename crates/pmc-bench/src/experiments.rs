@@ -208,8 +208,9 @@ pub fn run_depth_scaling(sizes: &[usize], seed: u64) -> Table {
 
 /// E-depth (structural) — the critical-path gauges the meter records
 /// during one exact run: packing iterations (`O(log² n)`), hierarchy
-/// levels (`<= log W`), range-tree height (`O(1/ε)`), the deepest
-/// packed-tree height, and the engine's construction critical paths.
+/// levels (`<= log W`; "skipped" when Phase 1 did not run), range-tree
+/// height (`O(1/ε)`), the deepest packed-tree height, and the engine's
+/// construction critical paths.
 /// These are the quantities the depth theorems bound, reported directly
 /// rather than via Brent inversion, so they read the same on any core
 /// count.
@@ -235,7 +236,11 @@ pub fn run_gauges(sizes: &[usize], seed: u64) -> Table {
             n.to_string(),
             format!("{:.0}", lg(n) * lg(n)),
             get("packing:iterations"),
-            get("approx:hierarchy_levels"),
+            if r.stats.phase1_skipped {
+                "skipped".to_string()
+            } else {
+                get("approx:hierarchy_levels")
+            },
             get("cutquery:range_height"),
             get("two_respect:tree_height"),
             get("engine:graph_build"),

@@ -162,7 +162,9 @@ pub fn approx_mincut_in(ctx: &GraphContext<'_>, params: &ApproxParams, meter: &M
 
 /// The `(1 ± ε)` refinement stated after Theorem 3.1: re-skeletonize at
 /// accuracy `ε` using the constant-factor estimate, then measure the
-/// skeleton's min-cut exactly and rescale.
+/// skeleton's min-cut exactly and rescale. When `p` is already 1 at the
+/// minimum weighted degree δ ≥ λ, no estimate could make the skeleton
+/// sample, so the hierarchy is skipped and the min cut measured exactly.
 pub fn approx_mincut_eps(
     g: &Graph,
     eps: f64,
@@ -171,16 +173,24 @@ pub fn approx_mincut_eps(
     meter: &Meter,
 ) -> u64 {
     assert!(eps > 0.0 && eps <= 1.0);
-    let base = approx_mincut(g, params, meter);
-    if base.below_window || base.lambda == 0 || base.lambda == u64::MAX {
+    let c = 24.0; // oversampling constant for the refinement skeleton
+    let ctx = GraphContext::attach(g, meter);
+    if let Some(cut) = ctx.trivial_cut() {
+        return cut.value;
+    }
+    let exact = || mincut_small_in(&ctx, &params.two_respect, &params.packing, meter).value;
+    if skeleton_probability(g.n(), eps, ctx.min_degree_cut().value, c) >= 1.0 {
+        return exact();
+    }
+    let base = approx_mincut_in(&ctx, params, meter);
+    if base.below_window {
         return base.lambda;
     }
     let lambda_under = (base.lambda / 2).max(1);
-    let c = 24.0; // oversampling constant for the refinement skeleton
     let p = skeleton_probability(g.n(), eps, lambda_under, c);
     if p >= 1.0 {
         // The graph is already in the exactly-measurable regime.
-        return mincut_small(g, &params.two_respect, &params.packing, meter).value;
+        return exact();
     }
     let cap_scale = (c * (g.n().max(2) as f64).ln() / (eps * eps)).ceil();
     let cap = (8.0 * cap_scale) as u64;

@@ -5,6 +5,10 @@
 //!               ->  sparse certificate (Thm 2.6)
 //!               ->  greedy tree packing (Thm 4.18)
 //!               ->  per packed tree: min 2-respecting cut in G (Thm 4.2)
+//!
+//! approx λ̃ is skipped (p fed δ, the min weighted degree) when
+//! p = min(1, c ln n / (ε² δ)) is already 1: λ ≤ δ, so no estimate
+//! could make the skeleton sample.
 //! ```
 //!
 //! Every candidate the pipeline produces is a *real* cut of `G` (1- or
@@ -67,8 +71,13 @@ impl Default for ExactParams {
 /// Diagnostics of one exact run.
 #[derive(Debug, Clone, Default)]
 pub struct ExactStats {
-    /// The constant-factor underestimate used for sampling.
+    /// The value fed to Theorem 2.4's `p`: λ̃/2 from Phase 1, the
+    /// caller's `lambda_hint`, or the minimum weighted degree δ when
+    /// Phase 1 was skipped.
     pub lambda_estimate: u64,
+    /// Phase 1 did not run: `p` is already 1 at δ ≥ λ, so no estimate
+    /// could change the skeleton (diagnostic, not a knob).
+    pub phase1_skipped: bool,
     /// Skeleton sampling probability actually used.
     pub skeleton_p: f64,
     /// Edges of the skeleton after sampling.
@@ -193,8 +202,15 @@ pub fn exact_mincut_deadline_in(
         return degraded(stats, degrade_reason_of(e));
     }
     pmc_fault::point("engine:phase1_approx");
+    // λ ≤ δ, so once p is 1 at δ it is 1 for every valid estimate:
+    // Phase 1 is dead work. A caller's hint stays authoritative.
+    // (Connected, n ≥ 2 and positive weights give δ ≥ 1.)
+    stats.phase1_skipped = params.lambda_hint.is_none()
+        && skeleton_probability(gc.n(), params.skeleton_eps, fallback.value, params.skeleton_c)
+            >= 1.0;
     let lambda_est = match params.lambda_hint {
         Some(l) => l.max(1),
+        None if stats.phase1_skipped => fallback.value,
         None => {
             let a = approx_mincut_in(ctx, &params.approx, meter);
             (a.lambda / 2).max(1)
@@ -329,6 +345,7 @@ pub fn mincut_small_in(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::approx::approx_mincut;
     use pmc_graph::graph::cut_of_partition;
     use pmc_graph::{generators, stoer_wagner_mincut};
     use rand::rngs::StdRng;
@@ -412,6 +429,52 @@ mod tests {
         let r = exact_mincut(&g, &params);
         assert_eq!(r.cut.value, 3);
         assert_eq!(r.stats.lambda_estimate, 2);
+    }
+
+    /// Where the Phase 1 skip fires, the run is bit-identical to one fed
+    /// Phase 1's own estimate as the hint (the path that ran it), and a
+    /// metered run records no hierarchy gauge.
+    #[test]
+    fn phase1_skip_is_bit_identical_to_running_it() {
+        let mut graphs = vec![
+            ("dumbbell", generators::dumbbell(8, 10, 3)),
+            ("grid", generators::grid(5, 6, 4)),
+            ("fishbone", generators::fishbone(5, 8).0),
+        ];
+        for seed in [611u64, 612, 613] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            graphs.push(("gnm", generators::gnm_connected(18, 54, 9, &mut rng)));
+            graphs.push(("power law", generators::power_law_community(60, 3, 4, 9, &mut rng)));
+        }
+        for (i, (name, g)) in graphs.iter().enumerate() {
+            let params = ExactParams { seed: 800 + i as u64, ..ExactParams::default() };
+            let meter = Meter::enabled();
+            let skipped = exact_mincut_metered(g, &params, &meter);
+            assert!(skipped.stats.phase1_skipped, "{name} {i}: skip must fire");
+            assert!(!meter.report().depth.contains_key("approx:hierarchy_levels"), "{name} {i}");
+            let lambda = approx_mincut(g, &params.approx, &Meter::disabled()).lambda;
+            let hinted = ExactParams { lambda_hint: Some((lambda / 2).max(1)), ..params };
+            let ran = exact_mincut(g, &hinted);
+            assert!(!ran.stats.phase1_skipped, "{name} {i}");
+            assert_eq!(skipped.cut, ran.cut, "{name} {i}: cut");
+            assert_eq!(skipped.stats.skeleton_p, ran.stats.skeleton_p, "{name} {i}: p");
+            assert_eq!(skipped.stats.skeleton_edges, ran.stats.skeleton_edges, "{name} {i}: m");
+            assert_eq!(skipped.stats.num_trees, ran.stats.num_trees, "{name} {i}: trees");
+            assert_eq!(skipped.cut.value, stoer_wagner_mincut(g).value, "{name} {i}: value");
+        }
+    }
+
+    /// With δ above the sampling threshold the skip cannot fire: Phase 1
+    /// runs and records its gauge.
+    #[test]
+    fn phase1_runs_when_min_degree_exceeds_threshold() {
+        let mut rng = StdRng::seed_from_u64(614);
+        let g = generators::near_clique(60, 0.15, 48, &mut rng);
+        let meter = Meter::enabled();
+        let r = exact_mincut_metered(&g, &ExactParams::default(), &meter);
+        assert!(!r.stats.phase1_skipped);
+        assert!(meter.report().depth.contains_key("approx:hierarchy_levels"));
+        assert_eq!(r.cut.value, stoer_wagner_mincut(&g).value);
     }
 
     #[test]

@@ -24,13 +24,16 @@ fn main() {
     println!("graph: n = {}, m = {}, total weight = {}", g.n(), g.m(), g.total_weight());
 
     // The parallel pipeline (Theorem 4.1): approximate, sparsify, pack
-    // trees, then find the best 2-respecting cut per tree.
+    // trees, then find the best 2-respecting cut per tree. The
+    // approximation is skipped when the skeleton would keep every edge
+    // anyway (p = 1 already at the minimum weighted degree).
     let result = exact_mincut(&g, &ExactParams::default());
     println!("parallel min-cut value : {}", result.cut.value);
     println!("cut side (|S| = {}): {:?} ...", result.cut.side.len(), &result.cut.side[..8.min(result.cut.side.len())]);
     println!(
-        "pipeline stats: lambda~ = {}, skeleton p = {:.4}, skeleton m = {}, packed trees = {}",
+        "pipeline stats: lambda~ = {}{}, skeleton p = {:.4}, skeleton m = {}, packed trees = {}",
         result.stats.lambda_estimate,
+        if result.stats.phase1_skipped { " (min degree; phase 1 skipped)" } else { "" },
         result.stats.skeleton_p,
         result.stats.skeleton_edges,
         result.stats.num_trees
