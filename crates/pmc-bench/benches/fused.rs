@@ -1,11 +1,9 @@
-//! Criterion bench for the fused batch kernels (DESIGN.md §13): the
-//! single-sweep `sum_rects` against the per-rect peel loop, and the
-//! sorted Euler-tour LCA batch against per-query sparse-table probes.
+//! Criterion bench for the fused batch kernel (DESIGN.md §13): the
+//! single-sweep `sum_rects` against the per-rect peel loop.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pmc_parallel::Meter;
 use pmc_range::{Point2, RangeTree2D};
-use pmc_tree::{RootedTree, SparseLca};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -58,45 +56,5 @@ fn bench_sum_rects(c: &mut Criterion) {
     group.finish();
 }
 
-fn random_tree(n: usize, seed: u64) -> RootedTree {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let parent: Vec<u32> =
-        (0..n as u32).map(|v| if v == 0 { 0 } else { rng.random_range(0..v) }).collect();
-    RootedTree::from_parents(0, &parent)
-}
-
-fn bench_lca_batch(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fused_lca_batch");
-    group.sample_size(10);
-    let n = 50_000;
-    let tree = random_tree(n, 21);
-    let lca = SparseLca::build(&tree, &Meter::disabled());
-    let mut rng = StdRng::seed_from_u64(22);
-    for count in [256usize, 4096, 32_768] {
-        let pairs: Vec<(u32, u32)> = (0..count)
-            .map(|_| (rng.random_range(0..n as u32), rng.random_range(0..n as u32)))
-            .collect();
-        group.bench_with_input(BenchmarkId::new("per_query", count), &count, |b, _| {
-            b.iter(|| {
-                let mut acc = 0u32;
-                for &(u, v) in &pairs {
-                    acc = acc.wrapping_add(lca.lca(u, v));
-                }
-                black_box(acc)
-            })
-        });
-        let mut out = Vec::new();
-        let mut order = Vec::new();
-        let mut stack = Vec::new();
-        group.bench_with_input(BenchmarkId::new("batched", count), &count, |b, _| {
-            b.iter(|| {
-                lca.lca_batch_into(&pairs, &mut out, &mut order, &mut stack);
-                black_box(out.last().copied())
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_sum_rects, bench_lca_batch);
+criterion_group!(benches, bench_sum_rects);
 criterion_main!(benches);

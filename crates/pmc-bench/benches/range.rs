@@ -1,9 +1,9 @@
-//! Criterion bench for Lemmas 4.24/4.25: range-structure build and
-//! query across the ε knob.
+//! Criterion bench for Lemma 4.25: range-tree build and query across
+//! the ε knob.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pmc_parallel::Meter;
-use pmc_range::{Point1, Point2, RangeTree2D, WeightTree1D};
+use pmc_range::{Point2, RangeTree2D};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -61,27 +61,5 @@ fn bench_query(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_1d(c: &mut Criterion) {
-    let mut group = c.benchmark_group("range1d");
-    let m = 100_000;
-    let mut rng = StdRng::seed_from_u64(4);
-    let pts: Vec<Point1> = (0..m)
-        .map(|_| Point1 { x: rng.random_range(0..m as u32), w: rng.random_range(1..16) })
-        .collect();
-    for degree in [2usize, 16, 256] {
-        let tree = WeightTree1D::with_degree(pts.clone(), degree, &Meter::disabled());
-        group.bench_with_input(BenchmarkId::from_parameter(degree), &degree, |b, _| {
-            b.iter(|| {
-                let mut acc = 0u64;
-                for i in (0..m as u32).step_by(1000) {
-                    acc = acc.wrapping_add(tree.sum(i, i + 500, &Meter::disabled()));
-                }
-                black_box(acc)
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_build, bench_query, bench_1d);
+criterion_group!(benches, bench_build, bench_query);
 criterion_main!(benches);

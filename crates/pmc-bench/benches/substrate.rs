@@ -1,14 +1,14 @@
 //! Criterion benches for the substrate layers: tree decompositions
-//! (Lemma 4.4/4.12), LCA engines, connectivity/forest primitives and
-//! the certificate constructions (Theorem 2.6 vs the sequential scan).
+//! (Lemma 4.4/4.12), LCA engines, spanning forests and the
+//! certificate construction (Theorem 2.6).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pmc_bench::workloads;
 use pmc_parallel::spanning_forest::spanning_forest;
 use pmc_parallel::Meter;
-use pmc_sparsify::{k_certificate, scan_certificate};
+use pmc_sparsify::k_certificate;
 use pmc_tree::{
-    CentroidDecomposition, EulerTour, LcaTable, PathDecomposition, PathStrategy, RootedTree,
+    CentroidDecomposition, LcaTable, PathDecomposition, PathStrategy, RootedTree, SparseLca,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -41,7 +41,7 @@ fn bench_lca(c: &mut Criterion) {
     let mut group = c.benchmark_group("lca");
     let t = random_tree(100_000, 8);
     let lifting = LcaTable::build(&t);
-    let euler = EulerTour::build(&t, &Meter::disabled());
+    let sparse = SparseLca::build(&t, &Meter::disabled());
     let mut rng = StdRng::seed_from_u64(9);
     let queries: Vec<(u32, u32)> = (0..4096)
         .map(|_| (rng.random_range(0..100_000), rng.random_range(0..100_000)))
@@ -55,11 +55,11 @@ fn bench_lca(c: &mut Criterion) {
             black_box(acc)
         })
     });
-    group.bench_function("euler_rmq", |b| {
+    group.bench_function("sparse_table", |b| {
         b.iter(|| {
             let mut acc = 0u64;
             for &(x, y) in &queries {
-                acc = acc.wrapping_add(euler.lca(x, y) as u64);
+                acc = acc.wrapping_add(sparse.lca(x, y) as u64);
             }
             black_box(acc)
         })
@@ -75,9 +75,6 @@ fn bench_certificates(c: &mut Criterion) {
     for k in [4u64, 16] {
         group.bench_with_input(BenchmarkId::new("forest", k), &k, |b, &k| {
             b.iter(|| black_box(k_certificate(&w.graph, k, &m)))
-        });
-        group.bench_with_input(BenchmarkId::new("scan", k), &k, |b, &k| {
-            b.iter(|| black_box(scan_certificate(&w.graph, k, &m)))
         });
     }
     group.finish();

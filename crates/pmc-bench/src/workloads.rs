@@ -1,7 +1,7 @@
 //! Standard workloads of the experiment suite.
 //!
 //! The paper's regimes: *non-sparse* (`m = n^{1+Ω(1)}`, where the
-//! algorithm is work-optimal), *sparse* (`m = O(n log n)`, where [AB21]
+//! algorithm is work-optimal), *sparse* (`m = O(n log n)`, where \[AB21\]
 //! wins Table 1), and structured graphs with planted cuts for quality
 //! experiments.
 

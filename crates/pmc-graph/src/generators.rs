@@ -4,7 +4,7 @@
 //! benchmarks are reproducible. The families mirror the workloads the
 //! paper's analysis distinguishes: *non-sparse* random graphs
 //! (`m = n^{1+Ω(1)}`, the regime where the algorithm is work-optimal),
-//! sparse graphs (where [AB21] wins), and structured graphs with known
+//! sparse graphs (where \[AB21\] wins), and structured graphs with known
 //! minimum cuts for correctness checks.
 
 use crate::graph::{Graph, GraphBuilder, VertexId};

@@ -14,7 +14,7 @@
 //!   minimum-cut algorithm, used as the correctness oracle,
 //! * [`karger_stein`]: randomized recursive contraction, the classic
 //!   Monte-Carlo baseline occupying the "old world" row of comparisons,
-//! * [`matula`]: Matula's sequential `(2+ε)`-approximation ([Mat93],
+//! * [`matula`]: Matula's sequential `(2+ε)`-approximation (\[Mat93\],
 //!   the paper's §1 reference point for approximation),
 //! * [`io`]: a small DIMACS-like text format for graph exchange.
 //!

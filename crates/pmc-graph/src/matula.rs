@@ -1,4 +1,4 @@
-//! Matula's `(2+ε)`-approximation of the minimum cut ([Mat93]).
+//! Matula's `(2+ε)`-approximation of the minimum cut (\[Mat93\]).
 //!
 //! The sequential approximation the paper contrasts with in §1 ("a
 //! linear-time (2+ε)-approximation algorithm was known in the

@@ -92,20 +92,11 @@ impl<'a> CutQuery<'a> {
             },
             || {
                 // cov via the LCA difference trick: +w at both endpoints,
-                // -2w at the LCA; subtree sums in postorder. The m LCA
-                // queries go through the *batched* oracle kernel: one
-                // sorted sweep over the Euler tour instead of m
-                // independent RMQs (bit-identical answers and meter
-                // charges; see `LcaOracle::lca_batch_metered`).
-                // HOTPATH: warmup — build-time staging, once per tree.
-                let mut pairs = Vec::with_capacity(g.m());
-                pairs.extend(g.edges().iter().map(|e| (e.u, e.v)));
-                // HOTPATH: warmup — build-time staging, once per tree.
-                let mut lcas = Vec::with_capacity(g.m());
-                with_scratch(|s| lca.lca_batch_metered(&pairs, &mut lcas, s, meter));
+                // -2w at the LCA; subtree sums in postorder.
                 // HOTPATH: warmup — build-time array, once per tree.
                 let mut diff = vec![0i64; n];
-                for (e, &l) in g.edges().iter().zip(lcas.iter()) {
+                for e in g.edges() {
+                    let l = lca.lca_metered(e.u, e.v, meter);
                     diff[e.u as usize] += e.w as i64;
                     diff[e.v as usize] += e.w as i64;
                     diff[l as usize] -= 2 * e.w as i64;
@@ -434,7 +425,7 @@ mod tests {
     use pmc_graph::graph::cut_of_partition;
     use pmc_graph::{generators, Graph};
     use pmc_parallel::spanning_forest::spanning_forest;
-    use pmc_tree::LcaTable;
+    use pmc_tree::{LcaEngine, LcaStrategy, LcaTable};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -483,6 +474,26 @@ mod tests {
                     continue;
                 }
                 assert_eq!(q.cov(v), brute_cov(&g, &t, v), "trial {trial} vertex {v}");
+            }
+            // Through the engine, under both strategies: same coverage,
+            // and the pass probes each graph edge once — one step per
+            // sparse-table probe, `levels()` per lifting probe.
+            for strategy in [LcaStrategy::SparseTable, LcaStrategy::Lifting] {
+                let engine = LcaEngine::build(&t, strategy, &Meter::disabled());
+                let meter = Meter::enabled();
+                let qe = CutQuery::build(&g, &t, &engine, 0.3, &meter);
+                let steps_per_query = match strategy {
+                    LcaStrategy::SparseTable => 1,
+                    LcaStrategy::Lifting => engine.table().levels() as u64,
+                };
+                assert_eq!(
+                    meter.get(CostKind::LcaStep),
+                    g.m() as u64 * steps_per_query,
+                    "trial {trial} {strategy:?}"
+                );
+                for v in 0..30u32 {
+                    assert_eq!(qe.cov(v), q.cov(v), "trial {trial} {strategy:?} vertex {v}");
+                }
             }
         }
     }

@@ -71,7 +71,7 @@ impl TwoRespectParams {
     /// The paper-faithful configuration of Theorem 4.2: centroid-descent
     /// interest arms (Claim 4.13) and the O(1)-query Euler-tour LCA —
     /// the variants the complexity statements assume. (Row minima are
-    /// always SMAWK, the [RV94] substitute of §4.1.2/§4.1.3.) `Default`
+    /// always SMAWK, the \[RV94\] substitute of §4.1.2/§4.1.3.) `Default`
     /// currently coincides on the substrate knobs; `paper()` pins them
     /// explicitly so experiment configs stay stable if defaults move.
     pub fn paper() -> Self {

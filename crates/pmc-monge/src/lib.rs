@@ -7,9 +7,9 @@
 //! * [`smawk_row_minima`]: the classic SMAWK algorithm, `O(rows+cols)`
 //!   entry evaluations for totally monotone (submodular-Monge) matrices.
 //!   This is the deterministic substitute for Raman–Vishkin's randomized
-//!   `O(ℓ)` Monge minimum ([RV94]; see DESIGN.md).
+//!   `O(ℓ)` Monge minimum (\[RV94\]; see DESIGN.md).
 //! * [`dc_row_minima`]: divide-and-conquer row minima,
-//!   `O((rows+cols) log rows)` evaluations, [AKPS90]-style. No solver
+//!   `O((rows+cols) log rows)` evaluations, \[AKPS90\]-style. No solver
 //!   path runs it; it is the independent oracle SMAWK is tested
 //!   against.
 //! * [`monge_minimum`]: global minimum of a full Monge matrix.

@@ -12,23 +12,18 @@
 //!   empirical work/depth, letting the benches regenerate the paper's
 //!   Table 1 from measured counts;
 //! * [`scan`]: parallel prefix sums;
-//! * [`merge`]: parallel merge / merge sort / stream compaction;
 //! * [`sort`]: a parallel LSD radix sort (the paper's sorting primitive,
-//!   [Ble96]);
+//!   \[Ble96\]);
 //! * [`scratch`]: reusable scratch workspaces ([`Scratch`],
 //!   [`ScratchPool`], [`with_scratch`]) behind the allocation-free
 //!   steady-state query path;
 //! * [`union_find`]: sequential and lock-free concurrent union-find;
 //! * [`spanning_forest`]: parallel spanning forests (the Halperin–Zwick
 //!   substitute used by Theorem 2.6's certificates);
-//! * [`connectivity`]: Shiloach–Vishkin style label-propagation
-//!   connected components;
 //! * [`mst`]: parallel Borůvka and sequential Kruskal minimum spanning
 //!   forests with caller-supplied keys (the packing step of §4.2 needs
 //!   MSTs with respect to dynamic loads).
 
-pub mod connectivity;
-pub mod merge;
 pub mod meter;
 pub mod mst;
 pub mod scan;

@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub enum CostKind {
     /// One `cut(e, f)` / `cov(e, f)` evaluation (Lemma A.2).
     CutQuery,
-    /// One node visit inside a 1-D/2-D range structure (Lemmas 4.24/4.25).
+    /// One node visit inside the 2-D range tree (Lemma 4.25).
     RangeNode,
     /// One matrix entry inspected by a Monge minimum search (§4.1.2/4.1.3).
     MongeEntry,

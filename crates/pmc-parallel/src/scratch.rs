@@ -4,7 +4,7 @@
 //! `cut_batch`/`cov_batch` and the per-tree solve stages to stop paying
 //! the allocator on every call. A [`Scratch`] bundles every transient
 //! buffer those kernels need — packed sort keys, run boundaries, rect
-//! batches, range-tree cover items, Euler-tour sweep state — as plain
+//! batches, range-tree cover items, radix-sort histograms — as plain
 //! `Vec`s that are `clear()`ed (capacity retained) instead of dropped.
 //! After the first call at a given batch size every buffer is warm and
 //! the kernels run with **zero heap allocations** (gated by the
@@ -46,14 +46,6 @@ pub struct Scratch {
     pub rects: Vec<(u32, u32, u32, u32, u32)>,
     /// Range-tree cover items `(packed level/node, packed y-range, tag)`.
     pub cover: Vec<(u64, u64, u32)>,
-    /// `(a, b)` vertex pairs (batched LCA requests).
-    pub pairs: Vec<(u32, u32)>,
-    /// `u32` results (batched LCA answers).
-    pub idx: Vec<u32>,
-    /// Packed `(position, query)` orderings for offline sweeps.
-    pub order: Vec<u64>,
-    /// Monotone-stack positions for offline sweeps.
-    pub stack: Vec<u32>,
     /// Radix-sort workspace for `(u64, u32)` items.
     pub sort2: SortScratch<(u64, u32)>,
     /// Radix-sort workspace for `(u64, u32, u32)` items (symmetric join).
@@ -140,15 +132,15 @@ mod tests {
     #[test]
     fn with_scratch_is_reentrant() {
         let (a, b) = with_scratch(|outer| {
-            outer.idx.clear();
-            outer.idx.push(7);
+            outer.vals.clear();
+            outer.vals.push(7);
             let inner_val = with_scratch(|inner| {
                 // The nested workspace is a different object.
-                inner.idx.clear();
-                inner.idx.push(9);
-                inner.idx[0]
+                inner.vals.clear();
+                inner.vals.push(9);
+                inner.vals[0]
             });
-            (outer.idx[0], inner_val)
+            (outer.vals[0], inner_val)
         });
         assert_eq!((a, b), (7, 9));
     }

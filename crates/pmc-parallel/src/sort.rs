@@ -1,6 +1,6 @@
 //! Parallel LSD radix sort.
 //!
-//! The paper invokes "a parallel radix sort algorithm [Ble96]" whenever
+//! The paper invokes "a parallel radix sort algorithm \[Ble96\]" whenever
 //! points must be ordered by postorder index (Lemmas 4.24/4.25, A.1).
 //! Keys here are `u64` but callers sort postorder indices bounded by
 //! `n`, so the digit loop terminates after the significant bytes.
@@ -24,7 +24,7 @@ const SEQ_CUTOFF: usize = 1 << 13;
 
 /// Reusable workspace of the radix passes: the scatter double-buffer,
 /// one histogram per chunk, and the chunk-major exclusive offsets.
-/// `resize`d (never reallocated once warm) by [`radix_passes`].
+/// `resize`d (never reallocated once warm) by the radix passes.
 #[derive(Debug)]
 pub struct SortScratch<T> {
     buf: Vec<T>,

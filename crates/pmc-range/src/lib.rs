@@ -1,36 +1,20 @@
-//! Parallel orthogonal range-sum structures (§4.3 and Appendix A).
+//! Parallel orthogonal range sums (§4.3 and Appendix A).
 //!
 //! The cut-query structure of Lemma A.1 reduces `cut(e, f)` to at most
 //! two rectangle-sum queries over `m` weighted points in the
-//! `[n] x [n]` grid. The paper's data structures are complete trees of
-//! degree `n^ε`:
-//!
-//! * [`WeightTree1D`] — Lemma 4.24: `O(m/ε)` work, `O(log n)` depth to
-//!   build; interval sums with `O(n^ε/ε)` work.
-//! * [`RangeTree2D`] — Lemma 4.25: the two-level construction (x-tree
-//!   with y-sorted auxiliary arrays per node). Auxiliary interval sums
-//!   use prefix arrays + binary search, which never exceeds the lemma's
-//!   `O(n^ε/ε)` aux-query bound for `ε ≥ 1/log n` (see DESIGN.md).
-//! * [`PrefixSumIndex`] — the sorted-array + prefix-sum baseline used as
-//!   the 1-D oracle and in ablation benches.
+//! `[n] x [n]` grid. [`RangeTree2D`] answers them with Lemma 4.25's
+//! two-level construction: a complete x-tree of degree `n^ε` whose
+//! nodes carry y-sorted auxiliary arrays. The lemma builds each
+//! auxiliary structure from Lemma 4.24's 1-D tree; here they are
+//! prefix arrays + binary search, which never exceed the lemma's
+//! `O(n^ε/ε)` aux-query bound for `ε ≥ 1/log n` (DESIGN.md §5).
 //!
 //! The `ε` parameter trades query fan-out against tree height exactly as
 //! in Theorem 4.26; [`degree_for_eps`] maps `ε` to the branching factor.
 
-pub mod prefix;
-pub mod tree1d;
 pub mod tree2d;
 
-pub use prefix::PrefixSumIndex;
-pub use tree1d::WeightTree1D;
 pub use tree2d::RangeTree2D;
-
-/// A weighted point on the line (for 1-D) — `x` is the coordinate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Point1 {
-    pub x: u32,
-    pub w: u64,
-}
 
 /// A weighted point in the grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -1,7 +1,7 @@
 //! Binomial random variates.
 //!
 //! The skeleton constructions draw `B(w(e), p)` per edge. The paper
-//! cites [KS88]/[Fis79]: inverse-transform sampling walks the CDF from
+//! cites \[KS88\]/\[Fis79\]: inverse-transform sampling walks the CDF from
 //! zero, costing `O(np + 1)` expected steps, and Observation 4.22 caps
 //! the walk at the maximum useful value, giving `O(log n)` work per
 //! edge regardless of weight.

@@ -1,16 +1,14 @@
 //! Graph sparsification (§2.4 and §3 of the paper).
 //!
-//! * [`binomial`]: binomial random variates with the cost profile the
-//!   paper needs — `O(min(np, cap) + 1)` expected work per sample via
-//!   inverse-transform walking ([KS88], [Fis79]), with a normal
-//!   approximation above the f64-underflow regime (documented
+//! * [`binomial`](mod@binomial): binomial random variates with the cost
+//!   profile the paper needs — `O(min(np, cap) + 1)` expected work per
+//!   sample via inverse-transform walking (\[KS88\], \[Fis79\]), with
+//!   a normal approximation above the f64-underflow regime (documented
 //!   substitution, see DESIGN.md);
-//! * [`skeleton`]: Karger skeletons (Theorem 2.4) with the weight cap of
-//!   Observation 4.22;
+//! * [`skeleton`](mod@skeleton): Karger skeletons (Theorem 2.4) with
+//!   the weight cap of Observation 4.22;
 //! * [`certificate`]: sparse k-connectivity certificates via repeated
 //!   spanning forests (Theorem 2.6, Nagamochi–Ibaraki);
-//! * [`scan_certificate`]: the sequential maximum-adjacency-scan
-//!   certificate ([NI92a]), the oracle/baseline for the parallel one;
 //! * [`hierarchy`]: the sampled/truncated/exclusive hierarchies of
 //!   Definitions 3.3/3.9/3.16 (Algorithm 3.14) and the certificate
 //!   hierarchy of Algorithm 3.17.
@@ -18,11 +16,9 @@
 pub mod binomial;
 pub mod certificate;
 pub mod hierarchy;
-pub mod scan_certificate;
 pub mod skeleton;
 
 pub use binomial::{binomial, binomial_capped};
 pub use certificate::k_certificate;
-pub use scan_certificate::scan_certificate;
 pub use hierarchy::{CertificateHierarchy, ExclusiveHierarchy, HierarchyParams};
 pub use skeleton::{skeleton, skeleton_probability};

@@ -13,7 +13,6 @@
 use crate::rmq::SparseLca;
 use crate::rooted::RootedTree;
 use pmc_parallel::meter::{CostKind, Meter};
-use pmc_parallel::scratch::Scratch;
 
 /// Sparse jump-pointer table over a [`RootedTree`].
 #[derive(Debug, Clone)]
@@ -144,6 +143,11 @@ impl LcaStrategy {
 /// with `log n`), exactly 1 for the sparse-table path. The ablation
 /// harness reads this gauge to *record* (not assert) that the O(1)
 /// engine's per-query cost does not grow with depth.
+///
+/// There is no batched form: the coverage pass (one query per graph
+/// edge) calls `lca_metered` per edge, because an offline sorted sweep
+/// over the Euler tour measured ~1.9× slower than the O(1) probes
+/// (DESIGN.md §13).
 pub trait LcaOracle: Sync {
     /// Lowest common ancestor of `a` and `b`.
     fn lca(&self, a: u32, b: u32) -> u32;
@@ -153,29 +157,6 @@ pub trait LcaOracle: Sync {
     /// [`LcaOracle::lca`] plus a [`CostKind::LcaStep`] charge per table
     /// probe.
     fn lca_metered(&self, a: u32, b: u32, meter: &Meter) -> u32;
-
-    /// Batched [`LcaOracle::lca_metered`]: answer `pairs[i]` into
-    /// `out[i]`, reusing `scratch` buffers so a warm steady state
-    /// allocates nothing. The default walks the per-query path (so the
-    /// metered step totals are unchanged); [`SparseLca`] overrides it
-    /// with the one-pass Euler-tour sweep
-    /// ([`SparseLca::lca_batch_into`]), which is bit-identical to the
-    /// per-query RMQs — the differential suites pin both the values and
-    /// the step totals.
-    fn lca_batch_metered(
-        &self,
-        pairs: &[(u32, u32)],
-        out: &mut Vec<u32>,
-        scratch: &mut Scratch,
-        meter: &Meter,
-    ) {
-        let _ = scratch;
-        out.clear();
-        out.reserve(pairs.len());
-        for &(a, b) in pairs {
-            out.push(self.lca_metered(a, b, meter));
-        }
-    }
 }
 
 impl LcaOracle for LcaTable {
@@ -215,19 +196,6 @@ impl LcaOracle for SparseLca {
         // One O(1) RMQ probe, whatever the tree depth.
         meter.bump(CostKind::LcaStep);
         SparseLca::lca(self, a, b)
-    }
-
-    fn lca_batch_metered(
-        &self,
-        pairs: &[(u32, u32)],
-        out: &mut Vec<u32>,
-        scratch: &mut Scratch,
-        meter: &Meter,
-    ) {
-        // Same charge as pairs.len() per-query probes — the sweep
-        // changes the constant factors, never the gauge.
-        meter.add(CostKind::LcaStep, pairs.len() as u64);
-        self.lca_batch_into(pairs, out, &mut scratch.order, &mut scratch.stack);
     }
 }
 
@@ -318,19 +286,6 @@ impl LcaOracle for LcaEngine {
         match &self.sparse {
             Some(s) => s.lca_metered(a, b, meter),
             None => self.lifting.lca_metered(a, b, meter),
-        }
-    }
-
-    fn lca_batch_metered(
-        &self,
-        pairs: &[(u32, u32)],
-        out: &mut Vec<u32>,
-        scratch: &mut Scratch,
-        meter: &Meter,
-    ) {
-        match &self.sparse {
-            Some(s) => s.lca_batch_metered(pairs, out, scratch, meter),
-            None => self.lifting.lca_batch_metered(pairs, out, scratch, meter),
         }
     }
 }
@@ -473,34 +428,6 @@ mod tests {
             let lift_now = ml.get(CostKind::LcaStep);
             assert!(lift_now > lift_prev, "lifting steps grow with depth at n={n}");
             lift_prev = lift_now;
-        }
-    }
-
-    #[test]
-    fn batched_lca_matches_per_query_and_meter_for_both_strategies() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(92);
-        let n = 600u32;
-        let parent: Vec<u32> =
-            (0..n).map(|v| if v == 0 { 0 } else { rng.random_range(0..v) }).collect();
-        let t = RootedTree::from_parents(0, &parent);
-        let pairs: Vec<(u32, u32)> =
-            (0..500).map(|_| (rng.random_range(0..n), rng.random_range(0..n))).collect();
-        let mut scratch = Scratch::new();
-        for strategy in [LcaStrategy::Lifting, LcaStrategy::SparseTable] {
-            let engine = LcaEngine::build(&t, strategy, &Meter::disabled());
-            let (mb, mq) = (Meter::enabled(), Meter::enabled());
-            let mut out = Vec::new();
-            engine.lca_batch_metered(&pairs, &mut out, &mut scratch, &mb);
-            let singles: Vec<u32> =
-                pairs.iter().map(|&(a, b)| engine.lca_metered(a, b, &mq)).collect();
-            assert_eq!(out, singles, "{strategy:?}: batch vs per-query values");
-            assert_eq!(
-                mb.get(CostKind::LcaStep),
-                mq.get(CostKind::LcaStep),
-                "{strategy:?}: batch must charge exactly the per-query step total"
-            );
         }
     }
 

@@ -10,8 +10,6 @@
 //!   machinery of Lemma A.1 (computed by the Euler-tour technique,
 //!   implemented as iterative DFS so path-shaped trees do not overflow
 //!   the stack);
-//! * [`euler`]: the explicit Euler tour ([J'92]) with a full sparse
-//!   table (the O(n log n)-word cross-check);
 //! * [`rmq`]: the block-decomposed O(1) RMQ ([`rmq::BlockRmq`]) and the
 //!   production Euler-tour LCA built on it ([`rmq::SparseLca`]);
 //! * [`lca`]: binary-lifting LCA, level ancestors, and the pluggable
@@ -24,14 +22,12 @@
 //!   Lemma 4.12.
 
 pub mod centroid;
-pub mod euler;
 pub mod lca;
 pub mod paths;
 pub mod rmq;
 pub mod rooted;
 
 pub use centroid::CentroidDecomposition;
-pub use euler::EulerTour;
 pub use lca::{LcaEngine, LcaOracle, LcaStrategy, LcaTable};
 pub use paths::{PathDecomposition, PathStrategy};
 pub use rmq::{BlockRmq, SparseLca};

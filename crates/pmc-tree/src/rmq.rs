@@ -1,12 +1,11 @@
 //! Block-decomposed O(1) range-minimum queries and the Euler-tour LCA
 //! built on them.
 //!
-//! [`crate::euler::EulerTour`] carries a *full* sparse table over the
-//! tour — `O(n log n)` words. This module is the production substrate:
-//! the tour is cut into blocks of [`BLOCK`] entries, each position keeps
-//! a 64-bit monotone-stack mask that answers in-block queries with one
-//! shift and a `trailing_zeros`, and a sparse table is built only over
-//! the `n / 64` block minima. Build is `O(n)` work and `O(n)` words;
+//! A full sparse table over the tour would cost `O(n log n)` words.
+//! Instead the tour is cut into blocks of [`BLOCK`] entries, each
+//! position keeps a 64-bit monotone-stack mask that answers in-block
+//! queries with one shift and a `trailing_zeros`, and a sparse table is
+//! built only over the `n / 64` block minima. Build is `O(n)` work and `O(n)` words;
 //! queries are O(1) with the **leftmost** argmin on ties — the same tie
 //! rule as SMAWK and `dc_row_minima`, so witnesses stay bit-identical
 //! whichever engine answers.
@@ -110,11 +109,6 @@ impl BlockRmq {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
-    }
-
-    #[inline]
-    pub fn value(&self, i: usize) -> u32 {
-        self.values[i]
     }
 
     /// Leftmost minimum inside one block over global indices `[l, r]`.
@@ -240,81 +234,6 @@ impl SparseLca {
         let l = self.lca(a, b);
         self.depth[a as usize] + self.depth[b as usize] - 2 * self.depth[l as usize]
     }
-
-    /// Batched LCA: answer all of `pairs` with **one** sorted sweep over
-    /// the Euler tour instead of `pairs.len()` independent RMQs.
-    ///
-    /// Offline algorithm: each query becomes the tour window
-    /// `[min(first[a], first[b]), max(first[a], first[b])]`; queries are
-    /// ordered by right endpoint (`order` holds packed
-    /// `(right, query-index)` words), and one left-to-right pass over
-    /// the tour maintains a monotone stack of positions whose depths are
-    /// weakly increasing bottom-to-top — popping only on *strictly*
-    /// greater depth, the same leftmost-tie rule as [`BlockRmq`]. When
-    /// the sweep reaches a query's right endpoint, the answer is the
-    /// first stack entry at or past its left endpoint: every popped
-    /// position is dominated by a strictly shallower one inside the
-    /// window, and stack depths increase along the stack, so that entry
-    /// is exactly the leftmost minimum [`BlockRmq::argmin`] would
-    /// return. Results are therefore bit-identical to per-query
-    /// [`SparseLca::lca`].
-    ///
-    /// `O((t + q log q))` work for tour length `t` and `q` queries, one
-    /// cache-friendly pass over the tour; `out`, `order`, and `stack`
-    /// are caller-recycled buffers, so a warm steady state allocates
-    /// nothing. Small batches dispatch to per-query probes — the sweep's
-    /// fixed `O(t)` tour scan dwarfs a handful of `O(1)` RMQs (measured
-    /// in the `fused` bench) — with identical answers either way.
-    pub fn lca_batch_into(
-        &self,
-        pairs: &[(u32, u32)],
-        out: &mut Vec<u32>,
-        order: &mut Vec<u64>,
-        stack: &mut Vec<u32>,
-    ) {
-        if pairs.len() * 8 < self.tour.len() {
-            out.clear();
-            out.extend(pairs.iter().map(|&(a, b)| self.lca(a, b)));
-            return;
-        }
-        out.clear();
-        out.resize(pairs.len(), 0);
-        order.clear();
-        order.reserve(pairs.len());
-        for (i, &(a, b)) in pairs.iter().enumerate() {
-            let (fa, fb) = (self.first[a as usize], self.first[b as usize]);
-            order.push(((fa.max(fb) as u64) << 32) | i as u64);
-        }
-        // In-place unstable sort: (right, index) words are distinct, so
-        // the order — and the sweep — is fully deterministic.
-        order.sort_unstable();
-        stack.clear();
-        let mut qi = 0;
-        for pos in 0..self.tour.len() {
-            if qi == order.len() {
-                break;
-            }
-            let d = self.rmq.value(pos);
-            while let Some(&top) = stack.last() {
-                if self.rmq.value(top as usize) > d {
-                    stack.pop();
-                } else {
-                    break;
-                }
-            }
-            stack.push(pos as u32);
-            while qi < order.len() && (order[qi] >> 32) as usize == pos {
-                let i = (order[qi] & u32::MAX as u64) as usize;
-                let (a, b) = pairs[i];
-                let l = self.first[a as usize].min(self.first[b as usize]);
-                // Leftmost minimum of [l, pos]: the first (shallowest)
-                // stack entry at or past l.
-                let k = stack.partition_point(|&p| p < l);
-                out[i] = self.tour[stack[k] as usize];
-                qi += 1;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -422,49 +341,5 @@ mod tests {
         let s = SparseLca::build(&t, &Meter::disabled());
         assert_eq!(s.lca(0, 0), 0);
         assert_eq!(s.distance(0, 0), 0);
-    }
-
-    #[test]
-    fn lca_batch_matches_per_query() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let (mut out, mut order, mut stack) = (Vec::new(), Vec::new(), Vec::new());
-        for n in [1u32, 2, 3, 17, 64, 65, 300, 2000] {
-            let t = random_tree(n, &mut rng);
-            let s = SparseLca::build(&t, &Meter::disabled());
-            // Random pairs plus the degenerate diagonal and repeats —
-            // duplicates and a == b must sweep correctly too.
-            let mut pairs: Vec<(u32, u32)> = (0..400)
-                .map(|_| (rng.random_range(0..n), rng.random_range(0..n)))
-                .collect();
-            pairs.push((0, 0));
-            pairs.push((n - 1, n - 1));
-            pairs.push(pairs[0]);
-            s.lca_batch_into(&pairs, &mut out, &mut order, &mut stack);
-            assert_eq!(out.len(), pairs.len());
-            for (i, &(a, b)) in pairs.iter().enumerate() {
-                assert_eq!(out[i], s.lca(a, b), "n={n} query {i} = ({a},{b})");
-            }
-        }
-    }
-
-    #[test]
-    fn lca_batch_reused_buffers_and_empty() {
-        let mut rng = StdRng::seed_from_u64(22);
-        let t = random_tree(500, &mut rng);
-        let s = SparseLca::build(&t, &Meter::disabled());
-        let (mut out, mut order, mut stack) = (Vec::new(), Vec::new(), Vec::new());
-        s.lca_batch_into(&[], &mut out, &mut order, &mut stack);
-        assert!(out.is_empty());
-        // The same buffers, reused across differently-sized batches,
-        // keep answering exactly.
-        for round in 0..5 {
-            let pairs: Vec<(u32, u32)> = (0..50 + round * 111)
-                .map(|_| (rng.random_range(0..500), rng.random_range(0..500)))
-                .collect();
-            s.lca_batch_into(&pairs, &mut out, &mut order, &mut stack);
-            for (i, &(a, b)) in pairs.iter().enumerate() {
-                assert_eq!(out[i], s.lca(a, b), "round {round} query {i}");
-            }
-        }
     }
 }
