@@ -2,15 +2,17 @@
 
 use crate::table::{fmt_count, Table};
 use crate::workloads;
-use pmc_graph::{stoer_wagner_mincut, Graph};
+use pmc_graph::{generators, stoer_wagner_mincut, Graph};
 use pmc_mincut::exact::exact_mincut_metered;
 use pmc_mincut::{
-    approx_mincut, approx_mincut_eps, exact_mincut, greedy_tree_packing, naive_two_respecting,
-    two_respecting_mincut, ApproxParams, ExactParams, InterestStrategy, PackingParams,
-    TwoRespectParams,
+    approx_mincut, approx_mincut_eps, exact_mincut, exact_mincut_in, greedy_tree_packing,
+    naive_two_respecting, two_respecting_mincut, ApproxParams, ExactParams, GraphContext,
+    InterestStrategy, PackingParams, TwoRespectParams,
 };
 use pmc_parallel::meter::{CostKind, Meter};
 use pmc_tree::{LcaStrategy, PathStrategy, RootedTree};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::time::Instant;
 
 fn lg(n: usize) -> f64 {
@@ -207,10 +209,10 @@ pub fn run_depth_scaling(sizes: &[usize], seed: u64) -> Table {
 }
 
 /// E-depth (structural) — the critical-path gauges the meter records
-/// during one exact run: packing iterations (`O(log² n)`), hierarchy
-/// levels (`<= log W`; "skipped" when Phase 1 did not run), range-tree
-/// height (`O(1/ε)`), the deepest packed-tree height, and the engine's
-/// construction critical paths.
+/// during one exact run: packing iterations (`O(log² n)`), Matula's
+/// contraction rounds for λ̃ (sequential, one `O(m)` scan each),
+/// range-tree height (`O(1/ε)`), the deepest packed-tree height, and the
+/// engine's construction critical paths.
 /// These are the quantities the depth theorems bound, reported directly
 /// rather than via Brent inversion, so they read the same on any core
 /// count.
@@ -219,7 +221,7 @@ pub fn run_gauges(sizes: &[usize], seed: u64) -> Table {
         "n",
         "lg²n",
         "packing iters",
-        "hierarchy levels",
+        "λ̃ rounds",
         "range height",
         "tree height",
         "graph build",
@@ -236,11 +238,7 @@ pub fn run_gauges(sizes: &[usize], seed: u64) -> Table {
             n.to_string(),
             format!("{:.0}", lg(n) * lg(n)),
             get("packing:iterations"),
-            if r.stats.phase1_skipped {
-                "skipped".to_string()
-            } else {
-                get("approx:hierarchy_levels")
-            },
+            get("exact:lambda_rounds"),
             get("cutquery:range_height"),
             get("two_respect:tree_height"),
             get("engine:graph_build"),
@@ -248,6 +246,48 @@ pub fn run_gauges(sizes: &[usize], seed: u64) -> Table {
         ]);
     }
     t
+}
+
+/// E-whp — the pipeline's "with high probability" claim measured as a
+/// failure count: `near_clique(n, 0.15, 48)` (generator seed 1) solved
+/// under `seeds` skeleton-sampling seeds, each answer checked against
+/// Stoer–Wagner. Every graph must sample (`p < 1` on the first seed),
+/// otherwise the seeds would not vary anything. Returns the table and
+/// the total number of misses.
+pub fn run_whp(sizes: &[usize], seeds: u64) -> (Table, u64) {
+    let mut t =
+        Table::new(["n", "m", "λ", "λ̃", "p (max)", "seeds", "sampled", "misses", "ms/solve"]);
+    let mut total_misses = 0;
+    for &n in sizes {
+        let g = generators::near_clique(n, 0.15, 48, &mut StdRng::seed_from_u64(1));
+        let lambda = stoer_wagner_mincut(&g).value;
+        let ctx = GraphContext::build(&g, &Meter::disabled());
+        let (mut misses, mut sampled, mut p_max, mut est) = (0, 0, 0.0f64, 0);
+        let t0 = Instant::now();
+        for seed in 0..seeds {
+            let params = ExactParams { seed, ..ExactParams::default() };
+            let r = exact_mincut_in(&ctx, &params, &Meter::disabled());
+            assert!(seed > 0 || r.stats.skeleton_p < 1.0, "n = {n}: the skeleton does not sample");
+            misses += u64::from(r.cut.value != lambda);
+            sampled += u64::from(r.stats.skeleton_p < 1.0);
+            p_max = p_max.max(r.stats.skeleton_p);
+            est = r.stats.lambda_estimate;
+        }
+        let ms = t0.elapsed().as_secs_f64() * 1e3 / seeds.max(1) as f64;
+        total_misses += misses;
+        t.row([
+            n.to_string(),
+            g.m().to_string(),
+            lambda.to_string(),
+            est.to_string(),
+            format!("{p_max:.3}"),
+            seeds.to_string(),
+            sampled.to_string(),
+            misses.to_string(),
+            format!("{ms:.0}"),
+        ]);
+    }
+    (t, total_misses)
 }
 
 /// One timed run of the exact pipeline under a `p`-thread pool.

@@ -5,8 +5,9 @@
 //! cargo run -p pmc-bench --release -- <experiment> [full] [--smoke [n]] [--workload w]
 //! ```
 //!
-//! `full` selects the larger size ladder. `ablation` and `speedup` take
-//! `--smoke [n]`, the CI gates; `speedup` also takes `--workload`.
+//! `full` selects the larger size ladder. `ablation`, `speedup` and
+//! `whp` take `--smoke [n]`, the CI gates; `speedup` also takes
+//! `--workload`.
 //! Unknown experiments or arguments print usage and exit 2.
 //!
 //! End-to-end and per-phase wall time is the `perfbench` crate's job
@@ -15,13 +16,13 @@
 
 use pmc_bench::experiments::{
     measure_speedup_workload, run_ablation, run_approx_quality, run_depth_scaling,
-    run_eps_sweep, run_gauges, run_packing_stats, run_table1, run_two_respect_scaling,
+    run_eps_sweep, run_gauges, run_packing_stats, run_table1, run_two_respect_scaling, run_whp,
 };
 use pmc_bench::{workloads, Table};
 use std::process::ExitCode;
 
 const EXPERIMENTS: &str = "table1 approx_quality two_respect_scaling packing_stats \
-                           epsilon_sweep depth_scaling gauges ablation speedup";
+                           epsilon_sweep depth_scaling gauges ablation speedup whp";
 
 /// The arguments after the experiment name.
 #[derive(Default)]
@@ -56,7 +57,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: pmc-bench <experiment> [full] [--smoke [n]] [--workload w]\n  \
          experiments: {EXPERIMENTS}\n  \
-         --smoke: ablation and speedup only; --workload \
+         --smoke: ablation, speedup and whp only; --workload \
          (uniform|fishbone|powerlaw|nearclique): speedup only"
     );
     ExitCode::from(2)
@@ -66,7 +67,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((name, rest)) = args.split_first() else { return usage() };
     let Some(o) = parse(rest) else { return usage() };
-    let takes_smoke = matches!(name.as_str(), "ablation" | "speedup");
+    let takes_smoke = matches!(name.as_str(), "ablation" | "speedup" | "whp");
     if (o.smoke.is_some() && !takes_smoke) || (o.workload.is_some() && name != "speedup") {
         return usage();
     }
@@ -115,14 +116,15 @@ fn main() -> ExitCode {
         "gauges" => report(
             run_gauges(ladder(&[128, 256, 512], &[128, 256, 512, 1024, 2048]), 99),
             "Structural depth gauges (each bounded by the claimed polylog)",
-            "packing iterations track lg²n; hierarchy levels are bounded by\n\
-             lg(total weight); range height is O(1/ε) (constant in n at fixed ε); tree height\n\
+            "packing iterations track lg²n; λ̃ rounds are Matula's sequential O(m) contraction\n\
+             rounds (1–3 measured); range height is O(1/ε) (constant in n at fixed ε); tree height\n\
              is the per-tree critical path of the cut-finding stage (max over packed trees);\n\
              graph/tree build are the engine's construction critical paths (DESIGN.md §8),\n\
              attributed separately from query depth.",
         ),
         "ablation" => ablation(&o),
         "speedup" => return speedup(&o),
+        "whp" => return whp(&o),
         _ => return usage(),
     }
     ExitCode::SUCCESS
@@ -166,6 +168,30 @@ fn ablation(o: &Opts) {
             summary.sparse_lca_steps, summary.lifting_lca_steps
         );
     }
+}
+
+/// E-whp: misses against Stoer–Wagner over sampling seeds on
+/// near-cliques whose skeleton samples — 1,000 seeds at n = 150 (`full`
+/// adds n = 300), or `--smoke [seeds]` (default 50) at n = 150, the CI
+/// gate. Any miss exits nonzero.
+fn whp(o: &Opts) -> ExitCode {
+    let seeds = match o.smoke {
+        Some(n) => n.unwrap_or(50) as u64,
+        None => 1_000,
+    };
+    let sizes: &[usize] = if o.full { &[150, 300] } else { &[150] };
+    let (t, misses) = run_whp(sizes, seeds);
+    report(
+        t,
+        "With high probability — exact vs Stoer–Wagner over skeleton-sampling seeds",
+        "'misses' counts answers that differ from Stoer–Wagner (the pipeline only\n\
+         over-estimates); 'sampled' counts seeds whose skeleton kept p < 1 after retries.",
+    );
+    if misses > 0 {
+        eprintln!("FAIL: {misses} answers differ from Stoer–Wagner");
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }
 
 /// E-speedup gate: the chosen workload at `n` (defaults: 20 000 uniform,

@@ -30,7 +30,7 @@ pub mod stoer_wagner;
 
 pub use graph::{cut_of_partition, Edge, Graph, GraphBuilder, VertexId};
 pub use karger_stein::karger_stein_mincut;
-pub use matula::matula_approx;
+pub use matula::{matula_approx, matula_approx_rounds};
 pub use stoer_wagner::stoer_wagner_mincut;
 
 /// Convenience result bundle for algorithms that report a cut.

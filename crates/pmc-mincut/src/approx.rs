@@ -107,9 +107,9 @@ pub fn approx_mincut(g: &Graph, params: &ApproxParams, meter: &Meter) -> ApproxR
     approx_mincut_in(&ctx, params, meter)
 }
 
-/// [`approx_mincut`] over a prebuilt [`GraphContext`] — the exact
-/// pipeline passes its own context through so Phase 1 shares the
-/// coalesced graph and connectivity state instead of re-deriving them.
+/// [`approx_mincut`] over a prebuilt [`GraphContext`], so a caller
+/// that holds one shares its coalesced graph and connectivity state
+/// instead of re-deriving them.
 pub fn approx_mincut_in(ctx: &GraphContext<'_>, params: &ApproxParams, meter: &Meter) -> ApproxResult {
     if ctx.n() < 2 || !ctx.is_connected() {
         return ApproxResult {

@@ -1,15 +1,17 @@
 //! The exact minimum-cut pipeline (Theorems 4.1 and 4.26).
 //!
 //! ```text
-//! approx λ̃ (§3)  ->  skeleton (Thm 2.4 + Obs 4.22)
-//!               ->  sparse certificate (Thm 2.6)
-//!               ->  greedy tree packing (Thm 4.18)
-//!               ->  per packed tree: min 2-respecting cut in G (Thm 4.2)
-//!
-//! approx λ̃ is skipped (p fed δ, the min weighted degree) when
-//! p = min(1, c ln n / (ε² δ)) is already 1: λ ≤ δ, so no estimate
-//! could make the skeleton sample.
+//! λ̃ = ⌊β/(2+ε)⌋, β from Matula  ->  skeleton (Thm 2.4 + Obs 4.22)
+//!                              ->  sparse certificate (Thm 2.6)
+//!                              ->  greedy tree packing (Thm 4.18)
+//!                              ->  per packed tree: min 2-respecting cut in G (Thm 4.2)
 //! ```
+//!
+//! λ̃ only sets the skeleton probability, so the pipeline takes it from
+//! Matula's deterministic bracket `λ ≤ β ≤ (2+ε)λ` (sequential, `O(m)`
+//! per contraction round) rather than from §3's hierarchy
+//! (DESIGN.md §4); the hierarchy is reproduced by
+//! [`crate::approx::approx_mincut`].
 //!
 //! Every candidate the pipeline produces is a *real* cut of `G` (1- or
 //! 2-respecting values are evaluated in `G` itself, and the minimum
@@ -18,14 +20,14 @@
 //! w.h.p. — the property the test-suite checks against Stoer–Wagner
 //! across seeds.
 
-use crate::approx::{approx_mincut_in, ApproxParams};
+use crate::approx::ApproxParams;
 use crate::engine::{GraphContext, TreeContext};
 use crate::interest::InterestStrategy;
 use crate::packing::{greedy_tree_packing, PackingParams};
 use crate::two_respect::TwoRespectParams;
 use pmc_fault::{Deadline, DegradeReason, PmcError, SolveQuality};
-use pmc_graph::{CutResult, Graph};
-use pmc_parallel::meter::Meter;
+use pmc_graph::{matula_approx_rounds, CutResult, Graph};
+use pmc_parallel::meter::{CostKind, Meter};
 use pmc_sparsify::certificate::k_certificate;
 use pmc_sparsify::skeleton::{skeleton, skeleton_probability};
 use rayon::prelude::*;
@@ -36,6 +38,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 pub struct ExactParams {
     pub two_respect: TwoRespectParams,
     pub packing: PackingParams,
+    /// Parameters of §3's approximation ([`crate::approx::approx_mincut`]).
+    /// Unread by `exact_mincut*`, which takes λ̃ from Matula's bracket;
+    /// kept because perfbench's `--trace 1` still composes Phase 1 from
+    /// it.
     pub approx: ApproxParams,
     /// How the 2-respecting solver traces interest arms (Claim 4.13).
     /// Mirrored into [`TwoRespectParams::interest_strategy`] for every
@@ -47,7 +53,8 @@ pub struct ExactParams {
     pub skeleton_c: f64,
     /// Skeleton accuracy `ε` (paper: a small constant like 1/6).
     pub skeleton_eps: f64,
-    /// Known min-cut (under)estimate; skips the approximation phase.
+    /// Known min-cut (under)estimate λ̃, fed to the skeleton's `p` in
+    /// place of Matula's; authoritative when set.
     pub lambda_hint: Option<u64>,
     /// RNG seed for skeleton sampling.
     pub seed: u64,
@@ -71,13 +78,9 @@ impl Default for ExactParams {
 /// Diagnostics of one exact run.
 #[derive(Debug, Clone, Default)]
 pub struct ExactStats {
-    /// The value fed to Theorem 2.4's `p`: λ̃/2 from Phase 1, the
-    /// caller's `lambda_hint`, or the minimum weighted degree δ when
-    /// Phase 1 was skipped.
+    /// The λ̃ fed to Theorem 2.4's `p`: `max(1, ⌊β/(2+ε)⌋)` from
+    /// Matula's `β`, which is at most λ, or the caller's `lambda_hint`.
     pub lambda_estimate: u64,
-    /// Phase 1 did not run: `p` is already 1 at δ ≥ λ, so no estimate
-    /// could change the skeleton (diagnostic, not a knob).
-    pub phase1_skipped: bool,
     /// Skeleton sampling probability actually used.
     pub skeleton_p: f64,
     /// Edges of the skeleton after sampling.
@@ -102,9 +105,10 @@ pub struct ExactResult {
 }
 
 impl ExactParams {
-    /// Paper-faithful constants throughout (see `ApproxParams::paper`);
-    /// the sampling machinery then only engages for min-cuts far above
-    /// `log n`, exactly as in the paper's regime.
+    /// Paper-faithful constants throughout (the skeleton's `c` and `ε`,
+    /// and `ApproxParams::paper` for callers composing §3); the sampling
+    /// machinery then only engages for min-cuts far above `log n`,
+    /// exactly as in the paper's regime.
     pub fn paper(seed: u64) -> Self {
         ExactParams {
             approx: ApproxParams::paper(seed),
@@ -121,6 +125,9 @@ impl ExactParams {
         }
     }
 }
+
+/// Matula's accuracy `ε` for λ̃: `β ≤ (2+ε)λ`, so `⌊β/(2+ε)⌋ ≤ λ`.
+const MATULA_EPS: f64 = 0.5;
 
 /// Exact minimum cut of `g` (Theorem 4.1 / 4.26), w.h.p.
 pub fn exact_mincut(g: &Graph, params: &ExactParams) -> ExactResult {
@@ -197,23 +204,20 @@ pub fn exact_mincut_deadline_in(
         quality: SolveQuality::Degraded(reason),
     };
 
-    // Phase 1: constant-factor underestimate of the min cut.
+    // Phase 1: constant-factor underestimate of the min cut, from
+    // Matula's deterministic bracket (sequential: O(m) work and depth
+    // per contraction round). A caller's hint stays authoritative.
     if let Err(e) = deadline.check("phase1:approx") {
         return degraded(stats, degrade_reason_of(e));
     }
     pmc_fault::point("engine:phase1_approx");
-    // λ ≤ δ, so once p is 1 at δ it is 1 for every valid estimate:
-    // Phase 1 is dead work. A caller's hint stays authoritative.
-    // (Connected, n ≥ 2 and positive weights give δ ≥ 1.)
-    stats.phase1_skipped = params.lambda_hint.is_none()
-        && skeleton_probability(gc.n(), params.skeleton_eps, fallback.value, params.skeleton_c)
-            >= 1.0;
     let lambda_est = match params.lambda_hint {
         Some(l) => l.max(1),
-        None if stats.phase1_skipped => fallback.value,
         None => {
-            let a = approx_mincut_in(ctx, &params.approx, meter);
-            (a.lambda / 2).max(1)
+            let (beta, rounds) = matula_approx_rounds(gc, MATULA_EPS);
+            meter.add(CostKind::Misc, gc.m() as u64 * rounds);
+            meter.record_depth("exact:lambda_rounds", rounds);
+            ((beta as f64 / (2.0 + MATULA_EPS)) as u64).max(1)
         }
     };
     stats.lambda_estimate = lambda_est;
@@ -345,7 +349,6 @@ pub fn mincut_small_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::approx::approx_mincut;
     use pmc_graph::graph::cut_of_partition;
     use pmc_graph::{generators, stoer_wagner_mincut};
     use rand::rngs::StdRng;
@@ -431,11 +434,10 @@ mod tests {
         assert_eq!(r.stats.lambda_estimate, 2);
     }
 
-    /// Where the Phase 1 skip fires, the run is bit-identical to one fed
-    /// Phase 1's own estimate as the hint (the path that ran it), and a
-    /// metered run records no hierarchy gauge.
+    /// Where `p` is already 1 at the minimum weighted degree δ ≥ λ, it
+    /// is 1 at every λ̃ ≤ λ: the run is bit-identical to one hinted δ.
     #[test]
-    fn phase1_skip_is_bit_identical_to_running_it() {
+    fn unsampled_skeleton_is_bit_identical_to_min_degree_hint() {
         let mut graphs = vec![
             ("dumbbell", generators::dumbbell(8, 10, 3)),
             ("grid", generators::grid(5, 6, 4)),
@@ -448,33 +450,41 @@ mod tests {
         }
         for (i, (name, g)) in graphs.iter().enumerate() {
             let params = ExactParams { seed: 800 + i as u64, ..ExactParams::default() };
-            let meter = Meter::enabled();
-            let skipped = exact_mincut_metered(g, &params, &meter);
-            assert!(skipped.stats.phase1_skipped, "{name} {i}: skip must fire");
-            assert!(!meter.report().depth.contains_key("approx:hierarchy_levels"), "{name} {i}");
-            let lambda = approx_mincut(g, &params.approx, &Meter::disabled()).lambda;
-            let hinted = ExactParams { lambda_hint: Some((lambda / 2).max(1)), ..params };
-            let ran = exact_mincut(g, &hinted);
-            assert!(!ran.stats.phase1_skipped, "{name} {i}");
-            assert_eq!(skipped.cut, ran.cut, "{name} {i}: cut");
-            assert_eq!(skipped.stats.skeleton_p, ran.stats.skeleton_p, "{name} {i}: p");
-            assert_eq!(skipped.stats.skeleton_edges, ran.stats.skeleton_edges, "{name} {i}: m");
-            assert_eq!(skipped.stats.num_trees, ran.stats.num_trees, "{name} {i}: trees");
-            assert_eq!(skipped.cut.value, stoer_wagner_mincut(g).value, "{name} {i}: value");
+            let delta = g.min_weighted_degree();
+            assert!(
+                skeleton_probability(g.n(), params.skeleton_eps, delta, params.skeleton_c) >= 1.0,
+                "{name} {i}: p(δ) must be 1"
+            );
+            let matula = exact_mincut(g, &params);
+            let hinted = exact_mincut(g, &ExactParams { lambda_hint: Some(delta), ..params });
+            assert_eq!(matula.cut, hinted.cut, "{name} {i}: cut");
+            assert_eq!(matula.stats.skeleton_p, 1.0, "{name} {i}: p");
+            assert_eq!(hinted.stats.skeleton_p, 1.0, "{name} {i}: p");
+            assert_eq!(matula.stats.skeleton_edges, hinted.stats.skeleton_edges, "{name} {i}");
+            assert_eq!(matula.stats.num_trees, hinted.stats.num_trees, "{name} {i}: trees");
+            assert_eq!(matula.cut.value, stoer_wagner_mincut(g).value, "{name} {i}: value");
         }
     }
 
-    /// With δ above the sampling threshold the skip cannot fire: Phase 1
-    /// runs and records its gauge.
+    /// A dense near-clique samples (`p < 1`) at Matula's λ̃ ≤ λ, stays
+    /// exact across sampling seeds, and meters Matula's rounds, not §3's
+    /// hierarchy.
     #[test]
-    fn phase1_runs_when_min_degree_exceeds_threshold() {
+    fn near_clique_samples_at_matula_estimate() {
         let mut rng = StdRng::seed_from_u64(614);
-        let g = generators::near_clique(60, 0.15, 48, &mut rng);
+        let g = generators::near_clique(40, 0.15, 200, &mut rng);
+        let lambda = stoer_wagner_mincut(&g).value;
         let meter = Meter::enabled();
         let r = exact_mincut_metered(&g, &ExactParams::default(), &meter);
-        assert!(!r.stats.phase1_skipped);
-        assert!(meter.report().depth.contains_key("approx:hierarchy_levels"));
-        assert_eq!(r.cut.value, stoer_wagner_mincut(&g).value);
+        assert!(r.stats.skeleton_p < 1.0, "p = {}", r.stats.skeleton_p);
+        assert!(r.stats.lambda_estimate <= lambda, "λ̃ {} > λ {lambda}", r.stats.lambda_estimate);
+        let depth = meter.report().depth;
+        assert!(depth.contains_key("exact:lambda_rounds"));
+        assert!(!depth.contains_key("approx:hierarchy_levels"));
+        for seed in 0..20 {
+            let params = ExactParams { seed, ..ExactParams::default() };
+            assert_eq!(exact_mincut(&g, &params).cut.value, lambda, "seed {seed}");
+        }
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //!   (Theorem 4.18).
 //! * [`approx`]: the `O(1)`-approximation through the sampling
 //!   hierarchies of §3 (Theorem 3.1).
-//! * [`exact`]: the full pipeline (Theorems 4.1 and 4.26) and the
-//!   simpler baselines used by the experiments.
+//! * [`exact`]: the full pipeline (Theorems 4.1 and 4.26), with the
+//!   skeleton's λ̃ taken from Matula's `(2+ε)` bracket, and the simpler
+//!   baselines used by the experiments.
 //! * [`engine`]: the two-level solver engine — graph-lifetime
 //!   [`GraphContext`] vs tree-lifetime [`TreeContext`], parallel
 //!   sub-builds, and the batched query facade. The one-shot functions

@@ -25,15 +25,13 @@ fn main() {
 
     // The parallel pipeline (Theorem 4.1): approximate, sparsify, pack
     // trees, then find the best 2-respecting cut per tree. The
-    // approximation is skipped when the skeleton would keep every edge
-    // anyway (p = 1 already at the minimum weighted degree).
+    // approximation lambda~ <= lambda comes from Matula's (2+eps) bracket.
     let result = exact_mincut(&g, &ExactParams::default());
     println!("parallel min-cut value : {}", result.cut.value);
     println!("cut side (|S| = {}): {:?} ...", result.cut.side.len(), &result.cut.side[..8.min(result.cut.side.len())]);
     println!(
-        "pipeline stats: lambda~ = {}{}, skeleton p = {:.4}, skeleton m = {}, packed trees = {}",
+        "pipeline stats: lambda~ = {}, skeleton p = {:.4}, skeleton m = {}, packed trees = {}",
         result.stats.lambda_estimate,
-        if result.stats.phase1_skipped { " (min degree; phase 1 skipped)" } else { "" },
         result.stats.skeleton_p,
         result.stats.skeleton_edges,
         result.stats.num_trees

@@ -54,9 +54,8 @@ fn main() -> ExitCode {
             println!("minimum cut: {}", r.cut.value);
             println!("side ({} vertices): {:?}", r.cut.side.len(), preview(&r.cut.side));
             println!(
-                "pipeline: lambda~={}{} p={:.4} skeleton_m={} trees={} time={dt:?}",
+                "pipeline: lambda~={} p={:.4} skeleton_m={} trees={} time={dt:?}",
                 r.stats.lambda_estimate,
-                if r.stats.phase1_skipped { " (min degree; phase 1 skipped)" } else { "" },
                 r.stats.skeleton_p,
                 r.stats.skeleton_edges,
                 r.stats.num_trees

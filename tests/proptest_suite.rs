@@ -41,6 +41,23 @@ proptest! {
         prop_assert_eq!(got.cut.value, expect);
     }
 
+    /// Without a hint, λ̃ = ⌊β/(2+ε)⌋ from Matula's bracket never
+    /// exceeds λ, so Theorem 2.4's `p` needs no w.h.p. caveat; heavy
+    /// weights make the skeleton sample.
+    #[test]
+    fn matula_lambda_estimate_never_exceeds_lambda(
+        n in 3usize..20,
+        extra in 0usize..40,
+        max_w in 1u64..1_000_000,
+        seed in 0u64..1000,
+    ) {
+        let g = graph_from(n, extra, max_w, seed);
+        let expect = stoer_wagner_mincut(&g).value;
+        let got = exact_mincut(&g, &ExactParams { seed, ..ExactParams::default() });
+        prop_assert!(got.stats.lambda_estimate <= expect);
+        prop_assert_eq!(got.cut.value, expect);
+    }
+
     /// The weight domain's edge: graphs scaled to a total weight just
     /// under `TOTAL_WEIGHT_LIMIT` parse, and the pipeline still agrees
     /// with Stoer–Wagner (no `i64` coverage or `u64` sum overflows).
