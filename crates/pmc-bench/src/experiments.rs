@@ -2,7 +2,7 @@
 
 use crate::table::{fmt_count, Table};
 use crate::workloads;
-use pmc_graph::{generators, stoer_wagner_mincut, Graph};
+use pmc_graph::{stoer_wagner_mincut, Graph};
 use pmc_mincut::exact::exact_mincut_metered;
 use pmc_mincut::{
     approx_mincut, approx_mincut_eps, exact_mincut, exact_mincut_in, greedy_tree_packing,
@@ -11,8 +11,6 @@ use pmc_mincut::{
 };
 use pmc_parallel::meter::{CostKind, Meter};
 use pmc_tree::{LcaStrategy, PathStrategy, RootedTree};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::time::Instant;
 
 fn lg(n: usize) -> f64 {
@@ -248,46 +246,73 @@ pub fn run_gauges(sizes: &[usize], seed: u64) -> Table {
     t
 }
 
+/// One grid point of [`run_whp`], summed over its seeds.
+#[derive(Debug, Clone, Default)]
+pub struct WhpCount {
+    /// Answers that differ from Stoer–Wagner.
+    pub misses: u64,
+    /// Solves whose skeleton kept `p < 1` after retries.
+    pub sampled: u64,
+    trees: usize,
+    p_max: f64,
+    secs: f64,
+}
+
 /// E-whp — the pipeline's "with high probability" claim measured as a
-/// failure count: `near_clique(n, 0.15, 48)` (generator seed 1) solved
-/// under `seeds` skeleton-sampling seeds, each answer checked against
-/// Stoer–Wagner. Every graph must sample (`p < 1` on the first seed),
-/// otherwise the seeds would not vary anything. Returns the table and
-/// the total number of misses.
-pub fn run_whp(sizes: &[usize], seeds: u64) -> (Table, u64) {
-    let mut t =
-        Table::new(["n", "m", "λ", "λ̃", "p (max)", "seeds", "sampled", "misses", "ms/solve"]);
-    let mut total_misses = 0;
-    for &n in sizes {
-        let g = generators::near_clique(n, 0.15, 48, &mut StdRng::seed_from_u64(1));
+/// failure count. Seed `s` in `0..seeds` solves `graph(s)` under
+/// skeleton-sampling seed `s`, once per `(iterations_factor,
+/// trees_factor)` in `grid`, and checks the answer against
+/// Stoer–Wagner. A fixed graph whose skeleton samples tests the
+/// sampling; generated graphs whose skeleton keeps every edge test the
+/// packed trees alone. 'λ < δ' counts the graphs whose answer must come
+/// from a packed tree rather than the min-degree fallback. Returns the
+/// table and one count per grid point.
+pub fn run_whp(
+    graph: impl Fn(u64) -> Graph,
+    seeds: u64,
+    grid: &[(f64, f64)],
+) -> (Table, Vec<WhpCount>) {
+    let mut counts = vec![WhpCount::default(); grid.len()];
+    let (mut n, mut m_max, mut from_tree) = (0, 0, 0);
+    for seed in 0..seeds {
+        let g = graph(seed);
         let lambda = stoer_wagner_mincut(&g).value;
+        (n, m_max) = (g.n(), m_max.max(g.m()));
+        from_tree += u64::from(lambda < g.min_weighted_degree());
         let ctx = GraphContext::build(&g, &Meter::disabled());
-        let (mut misses, mut sampled, mut p_max, mut est) = (0, 0, 0.0f64, 0);
-        let t0 = Instant::now();
-        for seed in 0..seeds {
-            let params = ExactParams { seed, ..ExactParams::default() };
+        for (&(iterations_factor, trees_factor), c) in grid.iter().zip(&mut counts) {
+            let packing = PackingParams { iterations_factor, trees_factor, ..PackingParams::default() };
+            let params = ExactParams { seed, packing, ..ExactParams::default() };
+            let t0 = Instant::now();
             let r = exact_mincut_in(&ctx, &params, &Meter::disabled());
-            assert!(seed > 0 || r.stats.skeleton_p < 1.0, "n = {n}: the skeleton does not sample");
-            misses += u64::from(r.cut.value != lambda);
-            sampled += u64::from(r.stats.skeleton_p < 1.0);
-            p_max = p_max.max(r.stats.skeleton_p);
-            est = r.stats.lambda_estimate;
+            c.secs += t0.elapsed().as_secs_f64();
+            c.misses += u64::from(r.cut.value != lambda);
+            c.sampled += u64::from(r.stats.skeleton_p < 1.0);
+            c.trees += r.stats.num_trees;
+            c.p_max = c.p_max.max(r.stats.skeleton_p);
         }
-        let ms = t0.elapsed().as_secs_f64() * 1e3 / seeds.max(1) as f64;
-        total_misses += misses;
+    }
+    let mut t = Table::new([
+        "n", "m (max)", "λ < δ", "iter factor", "trees factor", "trees (mean)", "p (max)", "seeds",
+        "sampled", "misses", "ms/solve",
+    ]);
+    let runs = seeds.max(1) as f64;
+    for (&(iterations_factor, trees_factor), c) in grid.iter().zip(&counts) {
         t.row([
             n.to_string(),
-            g.m().to_string(),
-            lambda.to_string(),
-            est.to_string(),
-            format!("{p_max:.3}"),
+            m_max.to_string(),
+            from_tree.to_string(),
+            iterations_factor.to_string(),
+            trees_factor.to_string(),
+            format!("{:.1}", c.trees as f64 / runs),
+            format!("{:.3}", c.p_max),
             seeds.to_string(),
-            sampled.to_string(),
-            misses.to_string(),
-            format!("{ms:.0}"),
+            c.sampled.to_string(),
+            c.misses.to_string(),
+            format!("{:.0}", c.secs * 1e3 / runs),
         ]);
     }
-    (t, total_misses)
+    (t, counts)
 }
 
 /// One timed run of the exact pipeline under a `p`-thread pool.

@@ -5,9 +5,9 @@
 //! cargo run -p pmc-bench --release -- <experiment> [full] [--smoke [n]] [--workload w]
 //! ```
 //!
-//! `full` selects the larger size ladder. `ablation`, `speedup` and
-//! `whp` take `--smoke [n]`, the CI gates; `speedup` also takes
-//! `--workload`.
+//! `full` selects the larger size ladder. `ablation`, `speedup`, `whp`
+//! and `whp packing` take `--smoke [n]`, the CI gates; `speedup` also
+//! takes `--workload`.
 //! Unknown experiments or arguments print usage and exit 2.
 //!
 //! End-to-end and per-phase wall time is the `perfbench` crate's job
@@ -19,10 +19,14 @@ use pmc_bench::experiments::{
     run_eps_sweep, run_gauges, run_packing_stats, run_table1, run_two_respect_scaling, run_whp,
 };
 use pmc_bench::{workloads, Table};
+use pmc_graph::generators;
+use pmc_mincut::PackingParams;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::process::ExitCode;
 
 const EXPERIMENTS: &str = "table1 approx_quality two_respect_scaling packing_stats \
-                           epsilon_sweep depth_scaling gauges ablation speedup whp";
+                           epsilon_sweep depth_scaling gauges ablation speedup whp 'whp packing'";
 
 /// The arguments after the experiment name.
 #[derive(Default)]
@@ -57,7 +61,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: pmc-bench <experiment> [full] [--smoke [n]] [--workload w]\n  \
          experiments: {EXPERIMENTS}\n  \
-         --smoke: ablation, speedup and whp only; --workload \
+         --smoke: ablation, speedup, whp and 'whp packing' only; --workload \
          (uniform|fishbone|powerlaw|nearclique): speedup only"
     );
     ExitCode::from(2)
@@ -66,13 +70,17 @@ fn usage() -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((name, rest)) = args.split_first() else { return usage() };
+    let (name, rest) = match rest.split_first() {
+        Some((sub, tail)) if name == "whp" && sub == "packing" => ("whp packing", tail),
+        _ => (name.as_str(), rest),
+    };
     let Some(o) = parse(rest) else { return usage() };
-    let takes_smoke = matches!(name.as_str(), "ablation" | "speedup" | "whp");
+    let takes_smoke = matches!(name, "ablation" | "speedup" | "whp" | "whp packing");
     if (o.smoke.is_some() && !takes_smoke) || (o.workload.is_some() && name != "speedup") {
         return usage();
     }
     let ladder = |quick: &'static [usize], full: &'static [usize]| if o.full { full } else { quick };
-    match name.as_str() {
+    match name {
         "table1" => report(
             run_table1(ladder(&[128, 256, 512], &[128, 256, 512, 1024, 2048]), 0x71),
             "Table 1 — total work: this paper vs the no-filter baseline (non-sparse m ~ n^1.5)",
@@ -124,7 +132,8 @@ fn main() -> ExitCode {
         ),
         "ablation" => ablation(&o),
         "speedup" => return speedup(&o),
-        "whp" => return whp(&o),
+        "whp" => return whp(&o, false),
+        "whp packing" => return whp(&o, true),
         _ => return usage(),
     }
     ExitCode::SUCCESS
@@ -170,28 +179,56 @@ fn ablation(o: &Opts) {
     }
 }
 
-/// E-whp: misses against Stoer–Wagner over sampling seeds on
-/// near-cliques whose skeleton samples — 1,000 seeds at n = 150 (`full`
-/// adds n = 300), or `--smoke [seeds]` (default 50) at n = 150, the CI
-/// gate. Any miss exits nonzero.
-fn whp(o: &Opts) -> ExitCode {
+/// E-whp: misses against Stoer–Wagner. `whp` varies the sampling seed
+/// on near-cliques whose skeleton samples: 1,000 seeds at n = 150
+/// (`full` adds n = 300), or `--smoke [seeds]` (default 50). `whp
+/// packing` varies the generator seed of `power_law(n, ·)`, whose
+/// skeleton keeps every edge: 1,000 seeds at n = 400 (`full`: 800) over
+/// `iterations_factor` ∈ {2, 1, 0.5} × `trees_factor` ∈ {4, 2}, or
+/// `--smoke [seeds]` (default 20) at the default factors. The CI gates
+/// exit nonzero on a miss at the default factors, or when the skeleton
+/// does not sample (near-cliques) or does (power-law).
+fn whp(o: &Opts, packing: bool) -> ExitCode {
+    let d = PackingParams::default();
+    let default = (d.iterations_factor, d.trees_factor);
+    let mut grid = vec![default];
+    if packing && o.smoke.is_none() {
+        for f in [2.0, 1.0, 0.5] {
+            grid.extend([(f, 4.0), (f, 2.0)].into_iter().filter(|&p| p != default));
+        }
+    }
     let seeds = match o.smoke {
-        Some(n) => n.unwrap_or(50) as u64,
+        Some(n) => n.unwrap_or(if packing { 20 } else { 50 }) as u64,
         None => 1_000,
     };
-    let sizes: &[usize] = if o.full { &[150, 300] } else { &[150] };
-    let (t, misses) = run_whp(sizes, seeds);
-    report(
-        t,
-        "With high probability — exact vs Stoer–Wagner over skeleton-sampling seeds",
-        "'misses' counts answers that differ from Stoer–Wagner (the pipeline only\n\
-         over-estimates); 'sampled' counts seeds whose skeleton kept p < 1 after retries.",
-    );
-    if misses > 0 {
-        eprintln!("FAIL: {misses} answers differ from Stoer–Wagner");
-        return ExitCode::FAILURE;
+    let sizes: &[usize] = match (packing, o.full) {
+        (false, false) => &[150],
+        (false, true) => &[150, 300],
+        (true, false) => &[400],
+        (true, true) => &[800],
+    };
+    let mut failed = false;
+    for &n in sizes {
+        let (t, counts) = if packing {
+            run_whp(|seed| workloads::power_law(n, seed).graph, seeds, &grid)
+        } else {
+            let g = generators::near_clique(n, 0.15, 48, &mut StdRng::seed_from_u64(1));
+            run_whp(|_| g.clone(), seeds, &grid)
+        };
+        report(
+            t,
+            "With high probability — exact vs Stoer–Wagner",
+            "'misses' counts answers that differ from Stoer–Wagner (the pipeline only\n\
+             over-estimates); 'sampled' counts solves whose skeleton kept p < 1 after retries.\n\
+             The first row is the default packing factors.",
+        );
+        let c = &counts[0];
+        if c.misses > 0 || (c.sampled > 0) == packing {
+            eprintln!("FAIL at n = {n}: {} misses, {} of {seeds} solves sampled", c.misses, c.sampled);
+            failed = true;
+        }
     }
-    ExitCode::SUCCESS
+    ExitCode::from(u8::from(failed))
 }
 
 /// E-speedup gate: the chosen workload at `n` (defaults: 20 000 uniform,

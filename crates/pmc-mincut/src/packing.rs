@@ -8,13 +8,27 @@
 //! minimum cut, so the cut-finding stage only needs the distinct trees
 //! of the packing.
 //!
-//! The MST subroutine is the parallel Borůvka of `pmc-parallel`
-//! (substituting Pettie–Ramachandran, DESIGN.md).
+//! The MST subroutine is Kruskal over an edge order kept sorted across
+//! iterations (substituting Pettie–Ramachandran, DESIGN.md §4): each
+//! iteration re-keys only its n − 1 tree edges and merges them back in
+//! O(m). It is sequential.
 
 use pmc_graph::Graph;
-use pmc_parallel::meter::Meter;
-use pmc_parallel::mst::boruvka_msf_by;
+use pmc_parallel::meter::{CostKind, Meter};
+use pmc_parallel::union_find::UnionFind;
 use std::collections::HashSet;
+
+/// Load order `uses(e)/w(e)` as the fixed-point key `(uses << 32) / w`:
+/// exact for ratio gaps above 2^-32 (uses is bounded by the iteration
+/// count, weights by the certificate cap), with (weight, index)
+/// tie-breaks making it a strict total order, so the packing is
+/// deterministic.
+type LoadKey = (u128, u64, u32);
+
+fn load_key(h: &Graph, uses: &[u64], i: usize) -> LoadKey {
+    let w = h.edge(i).w;
+    (((uses[i] as u128) << 32) / w.max(1) as u128, w, i as u32)
+}
 
 /// Packing parameters.
 #[derive(Debug, Clone, Copy)]
@@ -64,9 +78,11 @@ impl PackingParams {
 /// Greedy (PST) tree packing on `h`; returns the *distinct* spanning
 /// trees as edge-endpoint lists. `h` must be connected.
 ///
-/// Each iteration computes an MST of `h` under the load order
+/// Each iteration computes the MST of `h` under the load order
 /// `uses(e)/w(e)` (ties by static weight, then index) and increments the
-/// loads of the chosen edges.
+/// loads of the chosen edges. Charges `m` [`CostKind::MstEdge`] per
+/// iteration: the merge that repairs the order, which also bounds the
+/// Kruskal scan.
 /// # Example
 ///
 /// ```
@@ -86,31 +102,70 @@ pub fn greedy_tree_packing(
     assert!(h.n() >= 2, "packing needs at least one edge");
     let iterations = params.iterations(h.n());
     meter.record_depth("packing:iterations", iterations as u64);
-    let mut uses: Vec<u64> = vec![0; h.m()];
-    // Tree chosen at each iteration (the packing with multiplicities).
-    let mut sequence: Vec<Vec<u32>> = Vec::with_capacity(iterations);
+    let sequence = pst_sequence(h, iterations, meter);
+    select_trees(h, params, &sequence)
+}
+
+/// The tree (ascending edge indices) chosen at each of `iterations` PST
+/// iterations: the packing with multiplicities.
+fn pst_sequence(h: &Graph, iterations: usize, meter: &Meter) -> Vec<Vec<u32>> {
+    let (n, m) = (h.n(), h.m());
+    let mut uses: Vec<u64> = vec![0; m];
+    // Every edge's key, sorted. The key ends in the edge index, so the
+    // order names the edges. An iteration re-keys only its n − 1 tree
+    // edges, so the order is repaired by one merge, not re-sorted.
+    let mut order: Vec<LoadKey> = (0..m).map(|i| load_key(h, &uses, i)).collect();
+    order.sort_unstable();
+    let mut merged: Vec<LoadKey> = Vec::with_capacity(m);
+    let mut moved: Vec<LoadKey> = Vec::with_capacity(n - 1);
+    let mut in_tree = vec![false; m];
+    let mut uf = UnionFind::new(n);
+    let mut sequence = Vec::with_capacity(iterations);
     for _ in 0..iterations {
-        // Load order uses(e)/w(e) as the fixed-point key
-        // `(uses << 32) / w`: exact for ratio gaps above 2^-32 (uses is
-        // bounded by the iteration count, weights by the certificate
-        // cap), with (weight, index) tie-breaks keeping the packing
-        // deterministic.
-        let u = &uses;
-        let forest = boruvka_msf_by(
-            h,
-            |i| {
-                let w = h.edge(i).w.max(1);
-                let scaled: u128 = (u[i] as u128) << 32;
-                (scaled / w as u128, h.edge(i).w, i as u32)
-            },
-            meter,
-        );
-        assert_eq!(forest.len(), h.n() - 1, "packing input must be connected");
-        for &i in &forest {
-            uses[i as usize] += 1;
+        // Kruskal: the key is a strict total order, so this is the
+        // unique MSF under the current loads. Its edges are re-keyed
+        // as they are chosen; the scan reads only the old order.
+        uf.reset(n);
+        moved.clear();
+        for &(_, _, i) in &order {
+            let e = h.edge(i as usize);
+            if uf.union(e.u, e.v) {
+                uses[i as usize] += 1;
+                in_tree[i as usize] = true;
+                moved.push(load_key(h, &uses, i as usize));
+                if moved.len() == n - 1 {
+                    break;
+                }
+            }
         }
+        assert_eq!(moved.len(), n - 1, "packing input must be connected");
+        let mut forest: Vec<u32> = moved.iter().map(|k| k.2).collect();
+        forest.sort_unstable();
         sequence.push(forest);
+        moved.sort_unstable();
+        // Merge the re-keyed edges back into the untouched, still sorted
+        // rest of the order in one O(m) pass.
+        meter.add(CostKind::MstEdge, m as u64);
+        merged.clear();
+        let mut next = moved.iter().copied().peekable();
+        for &k in order.iter().filter(|k| !in_tree[k.2 as usize]) {
+            while let Some(j) = next.next_if(|&j| j < k) {
+                merged.push(j);
+            }
+            merged.push(k);
+        }
+        merged.extend(next);
+        std::mem::swap(&mut order, &mut merged);
+        for k in &moved {
+            in_tree[k.2 as usize] = false;
+        }
     }
+    sequence
+}
+
+/// The distinct trees handed to the cut-finding stage, as edge-endpoint
+/// lists.
+fn select_trees(h: &Graph, params: &PackingParams, sequence: &[Vec<u32>]) -> Vec<Vec<(u32, u32)>> {
     // Weight-proportional selection: evenly spaced iterations, then
     // dedup. Every tree has weight 1 in the PST packing, so spacing over
     // iterations is spacing over packing weight; a constant fraction of
@@ -142,7 +197,7 @@ pub fn greedy_tree_packing(
 mod tests {
     use super::*;
     use pmc_graph::generators;
-    use pmc_parallel::union_find::UnionFind;
+    use pmc_parallel::mst::kruskal_msf_by;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -152,6 +207,57 @@ mod tests {
         }
         let mut uf = UnionFind::new(n);
         edges.iter().all(|&(u, v)| uf.union(u, v))
+    }
+
+    /// The PST sequence with a from-scratch Kruskal per iteration.
+    fn reference_sequence(h: &Graph, iterations: usize) -> Vec<Vec<u32>> {
+        let mut uses = vec![0; h.m()];
+        (0..iterations)
+            .map(|_| {
+                let forest = kruskal_msf_by(h, |i| load_key(h, &uses, i));
+                for &i in &forest {
+                    uses[i as usize] += 1;
+                }
+                forest
+            })
+            .collect()
+    }
+
+    #[test]
+    fn maintained_order_matches_from_scratch_kruskal() {
+        let mut rng = StdRng::seed_from_u64(503);
+        let mut graphs = vec![
+            generators::near_clique(150, 0.15, 48, &mut StdRng::seed_from_u64(1)),
+            generators::near_clique(60, 0.3, 1000, &mut rng),
+            // All weights tie: the keys differ only in the edge index.
+            generators::cycle(30, 3),
+            generators::complete(20, 5),
+            // `pmc_bench::workloads::power_law(200, 7)`.
+            generators::power_law_community(200, 3, 8, 16, &mut StdRng::seed_from_u64(7)),
+        ];
+        for k in 0..24 {
+            let n = 10 + 7 * k;
+            graphs.push(generators::gnm_connected(n, 2 * n + k, 1 + 40 * k as u64, &mut rng));
+        }
+        let params = PackingParams::default();
+        for g in &graphs {
+            let iterations = params.iterations(g.n());
+            let reference = reference_sequence(g, iterations);
+            assert_eq!(pst_sequence(g, iterations, &Meter::disabled()), reference);
+            assert_eq!(
+                greedy_tree_packing(g, &params, &Meter::disabled()),
+                select_trees(g, &params, &reference)
+            );
+        }
+    }
+
+    #[test]
+    fn meter_records_mst_work() {
+        let g = generators::complete(16, 1);
+        let params = PackingParams::default();
+        let meter = Meter::enabled();
+        greedy_tree_packing(&g, &params, &meter);
+        assert_eq!(meter.get(CostKind::MstEdge), (params.iterations(16) * g.m()) as u64);
     }
 
     #[test]

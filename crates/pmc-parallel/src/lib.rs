@@ -20,9 +20,9 @@
 //! * [`union_find`]: sequential and lock-free concurrent union-find;
 //! * [`spanning_forest`]: parallel spanning forests (the Halperin–Zwick
 //!   substitute used by Theorem 2.6's certificates);
-//! * [`mst`]: parallel Borůvka and sequential Kruskal minimum spanning
-//!   forests with caller-supplied keys (the packing step of §4.2 needs
-//!   MSTs with respect to dynamic loads).
+//! * [`mst`]: sequential Kruskal minimum spanning forests with
+//!   caller-supplied keys, the oracle for the packing step of §4.2
+//!   (MSTs with respect to dynamic loads).
 
 pub mod meter;
 pub mod mst;

@@ -31,7 +31,8 @@ pub enum CostKind {
     MongeEntry,
     /// One edge touched by a spanning-forest computation (Thm 2.6).
     ForestEdge,
-    /// One edge relaxation inside an MST round (§4.2 packing).
+    /// One edge position in the packing's maintained MST order, per
+    /// iteration (§4.2 packing).
     MstEdge,
     /// One random sample drawn (binomial/skeleton sampling, §2.4.1).
     Sample,

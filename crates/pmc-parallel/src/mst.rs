@@ -2,110 +2,19 @@
 //!
 //! The tree-packing phase (§4.2) runs `O(log^2 n)` MST computations
 //! where the edge order is *not* the static weight but a dynamic load
-//! vector (Plotkin–Shmoys–Tardos). Both algorithms therefore take a key
-//! function `key(edge index) -> K`; ties must be broken consistently, so
-//! callers should include the edge index in `K` when keys can collide
-//! (the helpers here do this for the common `u64` case).
-//!
-//! * [`boruvka_msf_by`] — parallel Borůvka: `O(log n)` rounds, each
-//!   finding per-component minimum edges in parallel. This substitutes
-//!   for Pettie–Ramachandran in the paper (see DESIGN.md).
-//! * [`kruskal_msf_by`] — sequential sort-based Kruskal, the oracle.
+//! vector (Plotkin–Shmoys–Tardos). [`kruskal_msf_by`] therefore takes a
+//! key function `key(edge index) -> K`. It is the sequential sort-based
+//! Kruskal, kept as the oracle for the packing, which runs its own
+//! Kruskal over an edge order maintained across iterations
+//! (`pmc_mincut::greedy_tree_packing`).
 
-use crate::meter::{CostKind, Meter};
 use crate::union_find::UnionFind;
 use pmc_graph::Graph;
-use rayon::prelude::*;
-
-/// Parallel Borůvka minimum spanning forest.
-///
-/// Returns the indices of the forest edges (ascending). `key` must be a
-/// *strict total order* on edges — include the edge index as a
-/// tie-breaker if the primary key can repeat — otherwise the forest is
-/// still minimal but the edge choice may differ from Kruskal's.
-pub fn boruvka_msf_by<K>(
-    g: &Graph,
-    key: impl Fn(usize) -> K + Sync,
-    meter: &Meter,
-) -> Vec<u32>
-where
-    K: Ord + Copy + Send + Sync,
-{
-    let n = g.n();
-    let m = g.m();
-    let mut uf = UnionFind::new(n);
-    let mut chosen: Vec<u32> = Vec::new();
-    if n == 0 || m == 0 {
-        return chosen;
-    }
-    // Edge pool shrinks every round: only inter-component edges survive.
-    let mut pool: Vec<u32> = (0..m as u32).collect();
-    let mut roots = vec![u32::MAX; n];
-
-    loop {
-        meter.add(CostKind::MstEdge, pool.len() as u64);
-        // Root lookup table (sequential refresh; pool scan is parallel).
-        for v in 0..n as u32 {
-            roots[v as usize] = uf.find(v);
-        }
-        let roots_ref = &roots;
-        // Candidate minimum outgoing edge per component.
-        let candidates: Vec<(u32, K, u32)> = pool
-            .par_iter()
-            .filter_map(|&i| {
-                let e = g.edge(i as usize);
-                let (ru, rv) = (roots_ref[e.u as usize], roots_ref[e.v as usize]);
-                if ru == rv {
-                    None
-                } else {
-                    Some((ru, rv, key(i as usize), i))
-                }
-            })
-            .flat_map_iter(|(ru, rv, k, i)| [(ru, k, i), (rv, k, i)])
-            .collect();
-        if candidates.is_empty() {
-            break;
-        }
-        // Reduce: minimum key per component root.
-        let mut best: Vec<Option<(K, u32)>> = vec![None; n];
-        for (root, k, i) in candidates {
-            let slot = &mut best[root as usize];
-            if slot.is_none_or(|s| (k, i) < s) {
-                *slot = Some((k, i));
-            }
-        }
-        let mut merged_any = false;
-        for slot in best.iter().flatten() {
-            let e = g.edge(slot.1 as usize);
-            if uf.union(e.u, e.v) {
-                chosen.push(slot.1);
-                merged_any = true;
-            }
-        }
-        if !merged_any {
-            break;
-        }
-        // Prune intra-component edges from the pool.
-        for v in 0..n as u32 {
-            roots[v as usize] = uf.find(v);
-        }
-        let roots_ref = &roots;
-        pool = pool
-            .into_par_iter()
-            .filter(|&i| {
-                let e = g.edge(i as usize);
-                roots_ref[e.u as usize] != roots_ref[e.v as usize]
-            })
-            .collect();
-        if pool.is_empty() {
-            break;
-        }
-    }
-    chosen.sort_unstable();
-    chosen
-}
 
 /// Sequential Kruskal minimum spanning forest (oracle for tests).
+///
+/// Returns the indices of the forest edges (ascending). Ties in `key`
+/// are broken by edge index.
 pub fn kruskal_msf_by<K>(g: &Graph, key: impl Fn(usize) -> K) -> Vec<u32>
 where
     K: Ord + Copy,
@@ -124,79 +33,42 @@ where
     out
 }
 
-/// MSF by static edge weight (ties broken by index).
-pub fn boruvka_msf(g: &Graph, meter: &Meter) -> Vec<u32> {
-    boruvka_msf_by(g, |i| (g.edge(i).w, i as u32), meter)
-}
-
 /// Kruskal by static edge weight (ties broken by index).
 pub fn kruskal_msf(g: &Graph) -> Vec<u32> {
     kruskal_msf_by(g, |i| (g.edge(i).w, i as u32))
-}
-
-/// Total weight of a set of edges.
-pub fn forest_weight(g: &Graph, forest: &[u32]) -> u64 {
-    forest.iter().map(|&i| g.edge(i as usize).w).sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pmc_graph::generators;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn boruvka_matches_kruskal_weight_random() {
-        let mut rng = StdRng::seed_from_u64(51);
-        for n in [10, 50, 200] {
-            let g = generators::gnm_connected(n, 3 * n, 50, &mut rng);
-            let b = boruvka_msf(&g, &Meter::disabled());
-            let k = kruskal_msf(&g);
-            assert_eq!(b.len(), n - 1);
-            assert_eq!(forest_weight(&g, &b), forest_weight(&g, &k), "n={n}");
-        }
-    }
-
-    #[test]
-    fn identical_edges_with_distinct_tie_break() {
-        // All weights equal: unique keys via index => identical forests.
-        let g = generators::complete(20, 7);
-        let b = boruvka_msf(&g, &Meter::disabled());
-        let k = kruskal_msf(&g);
-        assert_eq!(b, k);
-    }
 
     #[test]
     fn custom_key_inverts_order() {
         // Max spanning tree via negated key.
         let g = Graph::from_edges(3, [(0, 1, 1), (1, 2, 10), (0, 2, 5)]);
         let max_tree = kruskal_msf_by(&g, |i| std::cmp::Reverse(g.edge(i).w));
-        assert_eq!(forest_weight(&g, &max_tree), 15);
-        let b = boruvka_msf_by(&g, |i| (std::cmp::Reverse(g.edge(i).w), i as u32), &Meter::disabled());
-        assert_eq!(forest_weight(&g, &b), 15);
+        assert_eq!(max_tree, vec![1, 2]); // weights 10 + 5
     }
 
     #[test]
     fn disconnected_forest() {
         let g = Graph::from_edges(5, [(0, 1, 2), (1, 2, 2), (3, 4, 2)]);
-        let b = boruvka_msf(&g, &Meter::disabled());
-        assert_eq!(b.len(), 3);
+        assert_eq!(kruskal_msf(&g).len(), 3);
     }
 
     #[test]
     fn empty_and_trivial() {
         let g = Graph::from_edges(3, []);
-        assert!(boruvka_msf(&g, &Meter::disabled()).is_empty());
+        assert!(kruskal_msf(&g).is_empty());
         let g0 = Graph::from_edges(0, []);
-        assert!(boruvka_msf(&g0, &Meter::disabled()).is_empty());
+        assert!(kruskal_msf(&g0).is_empty());
     }
 
     #[test]
     fn parallel_multigraph_edges() {
         let g = Graph::from_edges(2, [(0, 1, 5), (0, 1, 2), (0, 1, 9)]);
-        let b = boruvka_msf(&g, &Meter::disabled());
-        assert_eq!(b, vec![1]); // lightest parallel edge
+        assert_eq!(kruskal_msf(&g), vec![1]); // lightest parallel edge
     }
 
     #[test]
@@ -208,13 +80,5 @@ mod tests {
         let second = kruskal_msf_by(&g, |i| (loads[i], g.edge(i).w, i as u32));
         // The second tree must prefer the unused edge.
         assert_ne!(first, second);
-    }
-
-    #[test]
-    fn meter_records_mst_work() {
-        let g = generators::complete(16, 1);
-        let meter = Meter::enabled();
-        let _ = boruvka_msf(&g, &meter);
-        assert!(meter.get(CostKind::MstEdge) >= g.m() as u64);
     }
 }
