@@ -29,6 +29,14 @@ fn bench_build(c: &mut Criterion) {
             b.iter(|| black_box(RangeTree2D::build(pts.clone(), m, eps, &Meter::disabled())))
         });
     }
+    // One packed tree's build at each perfbench workload's shape: 2m
+    // points over the n-vertex grid at the solver's default ε = 1/4.
+    for (workload, points, n) in [("nearclique-150", 19_138, 150), ("powerlaw-800", 17_382, 800)] {
+        let pts = points2(points, n as u32, 4);
+        group.bench_with_input(BenchmarkId::new(workload, points), &n, |b, &n| {
+            b.iter(|| black_box(RangeTree2D::build(pts.clone(), n, 0.25, &Meter::disabled())))
+        });
+    }
     group.finish();
 }
 

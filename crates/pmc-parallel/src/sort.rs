@@ -1,14 +1,15 @@
 //! Parallel LSD radix sort.
 //!
-//! The paper invokes "a parallel radix sort algorithm \[Ble96\]" whenever
-//! points must be ordered by postorder index (Lemmas 4.24/4.25, A.1).
-//! Keys here are `u64` but callers sort postorder indices bounded by
-//! `n`, so the digit loop terminates after the significant bytes.
+//! The paper invokes "a parallel radix sort algorithm \[Ble96\]" to
+//! order items by small integer keys. Keys here are `u64`, and the digit
+//! loop stops after the significant bytes of the largest key. The
+//! solver's caller is the symmetric-join sort in `pmc-mincut::two_respect`,
+//! through the two-word [`radix_sort_by_key2_with`].
 //!
 //! The implementation is the textbook counting-sort-per-byte with
 //! per-chunk histograms combined by a scan — `O(n)` work per digit and
-//! logarithmic depth per digit modulo chunk granularity. A pair form
-//! [`radix_sort_by_key`] carries a payload.
+//! logarithmic depth per digit modulo chunk granularity. Every entry
+//! point is stable, and [`radix_sort_lsd`] carries a payload.
 //!
 //! Every entry point has a `_with` twin taking a [`SortScratch`]: the
 //! double buffer, per-chunk histograms, and offset table live in the
@@ -46,29 +47,6 @@ impl<T> SortScratch<T> {
     }
 }
 
-/// Sort `items` ascending by `key(item)`.
-///
-/// Equal keys land in input order on the radix path but the small-`n`
-/// fallback is `sort_unstable_by_key`; use [`radix_sort_lsd`] when
-/// stability must hold at every size (e.g. as a pass of a multi-word
-/// key sort).
-pub fn radix_sort_by_key<T, F>(items: &mut Vec<T>, key: F)
-where
-    T: Copy + Send + Sync + Default,
-    F: Fn(&T) -> u64 + Sync + Send,
-{
-    radix_sort_by_key_with(items, key, &mut SortScratch::new());
-}
-
-/// [`radix_sort_by_key`] with a caller-owned workspace.
-pub fn radix_sort_by_key_with<T, F>(items: &mut Vec<T>, key: F, scratch: &mut SortScratch<T>)
-where
-    T: Copy + Send + Sync + Default,
-    F: Fn(&T) -> u64 + Sync + Send,
-{
-    dispatch(items, &key, |v| v.sort_unstable_by_key(|it| key(it)), scratch);
-}
-
 /// Stable parallel LSD radix sort: equal keys keep their input order at
 /// *every* size (the small-`n` fallback is the stable `sort_by_key`).
 ///
@@ -86,34 +64,25 @@ where
 /// [`radix_sort_lsd`] with a caller-owned workspace. Above the cutoff
 /// the radix passes are allocation-free once the workspace is warm;
 /// below it the stable std fallback still takes its own temp buffer.
+///
+/// The single size dispatch behind every entry point: trivial inputs
+/// return as-is, inputs below `SEQ_CUTOFF` run the stable std sort,
+/// larger inputs take the parallel pass loop. One guard, one boundary,
+/// tested at `SEQ_CUTOFF ± 1` below.
 pub fn radix_sort_lsd_with<T, F>(items: &mut Vec<T>, key: F, scratch: &mut SortScratch<T>)
 where
     T: Copy + Send + Sync + Default,
     F: Fn(&T) -> u64 + Sync + Send,
-{
-    dispatch(items, &key, |v| v.sort_by_key(|it| key(it)), scratch);
-}
-
-/// The single size dispatch behind every entry point: trivial inputs
-/// return as-is, inputs below [`SEQ_CUTOFF`] run the supplied std
-/// fallback (stable or unstable — the one semantic difference between
-/// the entry points), larger inputs take the parallel pass loop. One
-/// guard, one boundary, tested at `SEQ_CUTOFF ± 1` below.
-fn dispatch<T, F, S>(items: &mut Vec<T>, key: &F, seq_fallback: S, scratch: &mut SortScratch<T>)
-where
-    T: Copy + Send + Sync + Default,
-    F: Fn(&T) -> u64 + Sync + Send,
-    S: FnOnce(&mut Vec<T>),
 {
     let n = items.len();
     if n <= 1 {
         return;
     }
     if n < SEQ_CUTOFF {
-        seq_fallback(items);
+        items.sort_by_key(|it| key(it));
         return;
     }
-    radix_passes(items, key, scratch);
+    radix_passes(items, &key, scratch);
 }
 
 /// Sort ascending by the composite key `(hi(item), lo(item))` — a
@@ -221,7 +190,7 @@ where
 
 /// Sort a vector of `u64` keys ascending.
 pub fn radix_sort(keys: &mut Vec<u64>) {
-    radix_sort_by_key(keys, |&k| k);
+    radix_sort_lsd(keys, |&k| k);
 }
 
 #[derive(Clone, Copy)]
@@ -279,14 +248,14 @@ mod tests {
             e.sort_by_key(|&(k, _)| k);
             e
         };
-        radix_sort_by_key(&mut v, |&(k, _)| k);
+        radix_sort_lsd(&mut v, |&(k, _)| k);
         assert_eq!(v, expect);
     }
 
     #[test]
     fn all_equal_keys() {
         let mut v: Vec<(u64, u64)> = (0..30_000u64).map(|i| (7, i)).collect();
-        radix_sort_by_key(&mut v, |&(k, _)| k);
+        radix_sort_lsd(&mut v, |&(k, _)| k);
         // Stability: payloads remain in original order.
         assert!(v.windows(2).all(|w| w[0].1 < w[1].1));
     }
@@ -311,8 +280,8 @@ mod tests {
         // Differential coverage at the exact fallback/radix boundary:
         // SEQ_CUTOFF − 1 takes the std fallback, SEQ_CUTOFF and
         // SEQ_CUTOFF + 1 take the parallel pass loop. Both paths must
-        // produce the same answer — including stability for the lsd
-        // entry point, which radix_sort_by_key2 composes on.
+        // produce the same answer, stability included: radix_sort_by_key2
+        // composes on it.
         let mut rng = StdRng::seed_from_u64(12);
         for n in [SEQ_CUTOFF - 1, SEQ_CUTOFF, SEQ_CUTOFF + 1] {
             // Heavy key collisions (keys in 0..7) so stability is load-
@@ -327,12 +296,6 @@ mod tests {
             let mut v = base.clone();
             radix_sort_lsd(&mut v, |&(k, _)| k);
             assert_eq!(v, stable_expect, "n={n}: lsd vs stable std sort");
-            // radix_sort_by_key only promises key order at every size;
-            // with payload folded into the comparison the expected
-            // permutation is unique again.
-            let mut v = base.clone();
-            radix_sort_by_key(&mut v, |&(k, p)| (k << 32) | p);
-            assert_eq!(v, stable_expect, "n={n}: by_key vs std sort");
         }
     }
 

@@ -17,8 +17,6 @@
 use crate::{degree_for_eps, Point2};
 use pmc_parallel::meter::{CostKind, Meter};
 use pmc_parallel::scratch::with_scratch;
-use pmc_parallel::sort::radix_sort_by_key;
-use rayon::prelude::*;
 
 /// Static 2-D range-sum structure over weighted grid points.
 ///
@@ -58,63 +56,70 @@ impl RangeTree2D {
     }
 
     /// Build with an explicit branching factor (`degree >= 2`).
-    pub fn with_degree(mut points: Vec<Point2>, degree: usize, meter: &Meter) -> Self {
+    ///
+    /// Sorts once and scatters once per level. A stable counting sort
+    /// puts the points in y-order; a second, by x, over that order
+    /// numbers the leaves. Both take `O(m + U)` work and `O(U)` space for
+    /// `U` = the largest coordinate + 1 (the grid side `n` for cut
+    /// queries). Each level is then one `O(m)` pass over the y-ordered
+    /// points that appends every point to its node's chunk — Lemma
+    /// 4.25's per-level merge as a stable scatter — so each chunk comes
+    /// out y-sorted with its prefix weights, written straight into the
+    /// flat arenas.
+    pub fn with_degree(points: Vec<Point2>, degree: usize, meter: &Meter) -> Self {
         assert!(degree >= 2);
         let m = points.len();
         meter.add(CostKind::RangeNode, m as u64);
-        // Leaf order: sort by x (ties by y, harmless).
-        radix_sort_by_key(&mut points, |p| ((p.x as u64) << 32) | p.y as u64);
-        // HOTPATH: warmup — one-time construction, not on the query path.
-        let xs: Vec<u32> = points.iter().map(|p| p.x).collect();
+        let universe = points.iter().map(|p| p.x.max(p.y) as usize + 1).max().unwrap_or(0);
 
-        // Points tagged with their leaf index so node membership survives
-        // the per-level y-resorts (duplicate x values make the x key
-        // ambiguous on its own).
+        // y-order: one stable counting sort by y.
+        let mut next = bucket_starts(points.iter().map(|p| p.y), universe);
+        // HOTPATH: warmup — build-time arrays, allocated once per tree.
+        let mut by_y = vec![Point2::default(); m];
+        for p in &points {
+            by_y[next[p.y as usize]] = *p;
+            next[p.y as usize] += 1;
+        }
+        // Leaf order: a stable counting sort by x over the y-order, so
+        // leaves run by (x, y) and equal points keep their input order.
+        // `leaf[j]` is the leaf of the `j`-th point in y-order.
+        let mut next = bucket_starts(points.iter().map(|p| p.x), universe);
+        // HOTPATH: warmup — build-time arrays, allocated once per tree.
+        let (mut xs, mut leaf) = (vec![0u32; m], vec![0u32; m]);
+        for (p, leaf) in by_y.iter().zip(&mut leaf) {
+            let i = next[p.x as usize];
+            next[p.x as usize] += 1;
+            xs[i] = p.x;
+            *leaf = i as u32;
+        }
+
         // HOTPATH: warmup — build-time arenas, allocated once per tree.
-        let mut indexed: Vec<(u32, Point2)> =
-            points.into_iter().enumerate().map(|(i, p)| (i as u32, p)).collect();
-        let mut width = 1usize;
-        let mut widths = Vec::new();
-        let mut ys = Vec::new();
-        let mut prefix = Vec::new();
-        // HOTPATH: warmup — build-time arenas, allocated once per tree.
-        let mut node_total = Vec::new();
+        let widths: Vec<usize> =
+            std::iter::successors(Some(1), |&w| (w < m).then(|| w * degree)).collect();
+        let (mut ys, mut prefix) = (vec![0u32; m * widths.len()], vec![0u64; m * widths.len()]);
+        let mut node_total = Vec::with_capacity(2 * m + widths.len());
         let mut node_total_offsets = vec![0usize];
-        loop {
+        // Per-node write cursor into the level's chunk.
+        let mut cursor = vec![0usize; m.max(1)];
+        for (lvl, &width) in widths.iter().enumerate() {
             let num_nodes = m.div_ceil(width).max(1);
-            // Sort by (node index, y); one radix pass per level, the
-            // parallel analogue of the paper's per-level merges.
-            let wl = width as u64;
-            radix_sort_by_key(&mut indexed, |&(i, p)| ((i as u64 / wl) << 32) | p.y as u64);
-            ys.extend(indexed.iter().map(|&(_, p)| p.y));
-            // Chunk-local prefix sums and per-node totals, in parallel
-            // over nodes (chunks are disjoint).
-            // HOTPATH: warmup — build-time fan-out, once per level.
-            let prefix_chunks: Vec<(Vec<u64>, u64)> = (0..num_nodes)
-                .into_par_iter()
-                .map(|nd| {
-                    let lo = nd * width;
-                    let hi = ((nd + 1) * width).min(m);
-                    let mut pre = Vec::with_capacity(hi - lo);
-                    let mut acc = 0u64;
-                    for item in &indexed[lo..hi] {
-                        pre.push(acc);
-                        acc += item.1.w;
-                    }
-                    (pre, acc)
-                })
-                .collect(); // HOTPATH: warmup — build-time fan-out.
-            for (pre, total) in prefix_chunks {
-                prefix.extend(pre);
-                node_total.push(total);
+            let (ys, prefix) = (&mut ys[lvl * m..][..m], &mut prefix[lvl * m..][..m]);
+            let total = node_total.len();
+            node_total.resize(total + num_nodes, 0);
+            let node_total = &mut node_total[total..];
+            for (nd, c) in cursor[..num_nodes].iter_mut().enumerate() {
+                *c = nd * width;
             }
-            node_total_offsets.push(node_total.len());
+            for (p, &leaf) in by_y.iter().zip(&leaf) {
+                let nd = leaf as usize / width;
+                let c = cursor[nd];
+                cursor[nd] += 1;
+                ys[c] = p.y;
+                prefix[c] = node_total[nd];
+                node_total[nd] += p.w;
+            }
+            node_total_offsets.push(total + num_nodes);
             meter.add(CostKind::RangeNode, m as u64);
-            widths.push(width);
-            if num_nodes == 1 {
-                break;
-            }
-            width *= degree;
         }
         RangeTree2D { degree, xs, widths, ys, prefix, node_total, node_total_offsets }
     }
@@ -296,6 +301,20 @@ impl RangeTree2D {
     }
 }
 
+/// Exclusive start of every key's bucket in a stable counting sort of
+/// `keys` over `[0, universe)`: `starts[k]` counts the keys below `k`.
+fn bucket_starts(keys: impl Iterator<Item = u32>, universe: usize) -> Vec<usize> {
+    // HOTPATH: warmup — build-time arrays, allocated once per tree.
+    let mut starts = vec![0usize; universe + 1];
+    for k in keys {
+        starts[k as usize + 1] += 1;
+    }
+    for k in 1..=universe {
+        starts[k] += starts[k - 1];
+    }
+    starts
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,6 +327,107 @@ mod tests {
             .filter(|p| p.x >= x1 && p.x <= x2 && p.y >= y1 && p.y <= y2)
             .map(|p| p.w)
             .sum()
+    }
+
+    /// `(widths, ys, prefix, node_total)`, levels concatenated.
+    type Arenas = (Vec<usize>, Vec<u32>, Vec<u64>, Vec<u64>);
+
+    /// Reference arenas: leaves by a stable sort on `(x, y)`, then per
+    /// level (widths `1, d, d², …` up to the first `≥ m`) a stable sort
+    /// of the leaf order by `(leaf / width, y)` with naive chunk-local
+    /// prefix sums.
+    fn reference_arenas(points: &[Point2], degree: usize) -> Arenas {
+        let m = points.len();
+        let mut leaves = points.to_vec();
+        leaves.sort_by_key(|p| (p.x, p.y));
+        let mut widths = vec![1];
+        while *widths.last().unwrap() < m {
+            widths.push(widths.last().unwrap() * degree);
+        }
+        let (mut ys, mut prefix, mut node_total) = (Vec::new(), Vec::new(), Vec::new());
+        for &width in &widths {
+            let mut level: Vec<(usize, Point2)> = leaves.iter().copied().enumerate().collect();
+            level.sort_by_key(|&(leaf, p)| (leaf / width, p.y));
+            if m == 0 {
+                node_total.push(0);
+            }
+            // Node `nd` holds leaves `[nd * width, (nd + 1) * width)`.
+            for chunk in level.chunks(width) {
+                let mut acc = 0u64;
+                for &(_, p) in chunk {
+                    ys.push(p.y);
+                    prefix.push(acc);
+                    acc += p.w;
+                }
+                node_total.push(acc);
+            }
+        }
+        (widths, ys, prefix, node_total)
+    }
+
+    /// Check one build against [`reference_arenas`]: `ys` and
+    /// `node_total` match exactly; `prefix` matches at every chunk start
+    /// and wherever y changes inside a chunk (the only entries a
+    /// `partition_point` boundary reads — ties on y may reorder the
+    /// rest); the enabled meter charges `m` per level plus `m` up front.
+    fn assert_matches_reference(points: &[Point2], t: &RangeTree2D, meter: &Meter, what: &str) {
+        let m = points.len();
+        let (widths, ys, prefix, node_total) = reference_arenas(points, t.degree());
+        let mut xs: Vec<u32> = points.iter().map(|p| p.x).collect();
+        xs.sort_unstable();
+        assert_eq!(t.xs, xs, "{what}: leaf order");
+        assert_eq!(t.widths, widths, "{what}: widths");
+        assert_eq!(t.ys, ys, "{what}: ys");
+        assert_eq!(t.node_total, node_total, "{what}: node_total");
+        assert_eq!(t.node_total_offsets.len(), t.height() + 1, "{what}: offsets");
+        assert_eq!(t.node_total_offsets.last(), Some(&node_total.len()), "{what}: offsets");
+        for (lvl, &width) in t.widths.iter().enumerate() {
+            for i in 0..m {
+                let at = lvl * m + i;
+                if i % width == 0 || ys[at] != ys[at - 1] {
+                    assert_eq!(t.prefix[at], prefix[at], "{what}: prefix level {lvl} index {i}");
+                }
+            }
+        }
+        assert_eq!(meter.get(CostKind::RangeNode), (m * (t.height() + 1)) as u64, "{what}: meter");
+    }
+
+    #[test]
+    fn arena_matches_per_level_sort_reference() {
+        let mut rng = StdRng::seed_from_u64(18);
+        for degree in [2usize, 3, 4, 17, 1024] {
+            let dk = (1..).map(|k| degree.pow(k)).find(|&p| p >= 256).unwrap();
+            for m in [0, 1, dk - 1, dk, dk + 1] {
+                // A small grid forces duplicate x, duplicate y and
+                // duplicate points with different weights.
+                for universe in [4u32, 64] {
+                    let pts: Vec<Point2> = (0..m)
+                        .map(|_| Point2 {
+                            x: rng.random_range(0..universe),
+                            y: rng.random_range(0..universe),
+                            w: rng.random_range(1..1000),
+                        })
+                        .collect();
+                    let meter = Meter::enabled();
+                    let t = RangeTree2D::with_degree(pts.clone(), degree, &meter);
+                    let what = format!("degree={degree} m={m} universe={universe}");
+                    assert_matches_reference(&pts, &t, &meter, &what);
+                }
+            }
+        }
+        // The benchmark's per-tree shape: 19,138 points (both
+        // orientations of each edge) over the 150-vertex grid at ε = 1/4.
+        let pts: Vec<Point2> = (0..19_138 / 2)
+            .flat_map(|_| {
+                let (u, v) = (rng.random_range(0..150u32), rng.random_range(0..150u32));
+                let w = rng.random_range(1..100);
+                [Point2 { x: u, y: v, w }, Point2 { x: v, y: u, w }]
+            })
+            .collect();
+        let meter = Meter::enabled();
+        let t = RangeTree2D::build(pts.clone(), 150, 0.25, &meter);
+        assert_eq!(t.degree(), 4);
+        assert_matches_reference(&pts, &t, &meter, "workload shape");
     }
 
     #[test]
