@@ -192,19 +192,13 @@ impl<'a> CutQuery<'a> {
     /// output order. `e == f` entries degenerate to the 1-respecting
     /// value, mirroring [`CutQuery::cut`].
     ///
-    /// Large batches are grouped on the packed `(e, f)` key so
-    /// duplicate pairs — common when many clients probe the same hot
-    /// cuts — are evaluated once and scattered back to every requester;
-    /// the meter consequently counts *distinct* queries. Small batches
-    /// skip the grouping pass and map directly.
-    ///
-    /// All transients live in `scratch`; every distinct pair's 1–2
-    /// complement rectangles are submitted to the range tree's fused
-    /// single-sweep kernel ([`RangeTree2D::sum_rects_tagged`]) rather
-    /// than probed pair by pair. With warm buffers the whole batch runs
-    /// with **zero heap allocations** (the counting-allocator gate in
-    /// `pmc-bench` pins this), and the values and meter charges are
-    /// bit-identical to per-pair [`CutQuery::cut`] probes.
+    /// The batch is grouped on the packed `(e, f)` key so duplicate
+    /// pairs — common when many clients probe the same hot cuts — are
+    /// evaluated once with [`CutQuery::cut`] and scattered back to
+    /// every requester; the meter consequently counts *distinct*
+    /// queries. The grouping sort lives in `scratch`, so with warm
+    /// buffers the whole batch runs with **zero heap allocations** (the
+    /// counting-allocator gate pins this).
     pub fn cut_batch_with(
         &self,
         pairs: &[(u32, u32)],
@@ -214,58 +208,26 @@ impl<'a> CutQuery<'a> {
     ) {
         // Delay/exhaust-capable probe, see `cov_batch_into`.
         pmc_fault::point("engine:cut_batch");
-        /// Below this size the sort costs more than duplicate probes.
-        const GROUP_CUTOFF: usize = 64;
-        out.clear();
-        if pairs.len() < GROUP_CUTOFF {
-            out.extend(pairs.iter().map(|&(e, f)| self.cut(e, f, meter)));
-            return;
-        }
         // Tag each pair with its slot and sort. `sort_unstable` on the
         // full `(key, slot)` tuple is in-place (no allocation) and —
         // because slots are distinct and ascending per input order —
         // produces exactly the stable-by-key order the grouping relies
         // on.
-        scratch.keys.clear();
-        scratch
-            .keys
-            .extend(pairs.iter().enumerate().map(|(i, &(e, f))| {
-                (((e as u64) << 32) | f as u64, i as u32)
-            }));
-        scratch.keys.sort_unstable();
-        scratch.runs.clear();
-        scratch.vals.clear();
-        scratch.rects.clear();
-        let mut i = 0;
-        while i < scratch.keys.len() {
-            let key = scratch.keys[i].0;
-            let mut j = i + 1;
-            while j < scratch.keys.len() && scratch.keys[j].0 == key {
-                j += 1;
-            }
-            let ri = scratch.runs.len() as u32;
-            scratch.runs.push((i as u32, j as u32));
-            // One evaluation per distinct pair: the additive part now,
-            // the rectangle part deferred to the fused sweep below.
-            let (e, f) = ((key >> 32) as u32, key as u32);
-            if e == f {
-                scratch.vals.push(self.cov(e));
-            } else {
-                meter.bump(CostKind::CutQuery);
-                scratch.vals.push(self.cov(e) + self.cov(f));
-                self.push_cov2_rects(e, f, ri, &mut scratch.rects);
-            }
-            i = j;
-        }
-        // Fused range-tree pass: every distinct pair's rectangles,
-        // answered in one sorted sweep over the flat arena.
-        scratch.acc.clear();
-        scratch.acc.resize(scratch.runs.len(), 0);
-        self.points.sum_rects_tagged(&scratch.rects, &mut scratch.acc, &mut scratch.cover, meter);
+        let keys = &mut scratch.keys;
+        keys.clear();
+        keys.extend(
+            pairs
+                .iter()
+                .enumerate()
+                .map(|(i, &(e, f))| (((e as u64) << 32) | f as u64, i as u32)),
+        );
+        keys.sort_unstable();
+        out.clear();
         out.resize(pairs.len(), 0);
-        for (ri, &(lo, hi)) in scratch.runs.iter().enumerate() {
-            let value = scratch.vals[ri] - 2 * scratch.acc[ri];
-            for &(_, slot) in &scratch.keys[lo as usize..hi as usize] {
+        for run in keys.chunk_by(|a, b| a.0 == b.0) {
+            let key = run[0].0;
+            let value = self.cut((key >> 32) as u32, key as u32, meter);
+            for &(_, slot) in run {
                 out[slot as usize] = value;
             }
         }
@@ -279,31 +241,6 @@ impl<'a> CutQuery<'a> {
         let mut out = Vec::with_capacity(pairs.len());
         with_scratch(|s| self.cut_batch_with(pairs, s, &mut out, meter));
         out
-    }
-
-    /// The tagged complement rectangles of `cov(e, f)` for distinct
-    /// `e != f` — exactly the rectangles [`CutQuery::cov2`] probes,
-    /// emitted for the fused sweep instead of queried on the spot.
-    fn push_cov2_rects(&self, e: u32, f: u32, tag: u32, rects: &mut Vec<(u32, u32, u32, u32, u32)>) {
-        let t = &self.tree;
-        // Nested: edges from T_low to outside T_high (two complement
-        // slabs). Disjoint: the single between-subtrees rectangle.
-        let (a, b) = if t.is_ancestor(e, f) {
-            (f, e)
-        } else if t.is_ancestor(f, e) {
-            (e, f)
-        } else {
-            rects.push((t.start(e), t.post(e), t.start(f), t.post(f), tag));
-            return;
-        };
-        let (ax1, ax2) = (t.start(a), t.post(a));
-        let (bs, bp) = (t.start(b), t.post(b));
-        if bs > 0 {
-            rects.push((ax1, ax2, 0, bs - 1, tag));
-        }
-        if bp < self.max_coord {
-            rects.push((ax1, ax2, bp + 1, self.max_coord, tag));
-        }
     }
 
     /// [`CutQuery::cut_batch`] under a cooperative [`Deadline`]: the
@@ -615,9 +552,11 @@ mod tests {
         }
     }
 
-    /// Grouped batches (above the dedup cutoff, with duplicates) must
-    /// return exactly the per-pair values in slot order, and evaluate
-    /// duplicates once.
+    /// Grouped batches of every size, with duplicates and `e == f`
+    /// degenerates, must return exactly the per-pair values in slot
+    /// order and evaluate each distinct pair once: the enabled meter's
+    /// `CutQuery` and `RangeNode` totals equal those of one `cut` probe
+    /// per distinct pair.
     #[test]
     fn cut_batch_grouping_matches_individual_probes() {
         let mut rng = StdRng::seed_from_u64(108);
@@ -626,19 +565,30 @@ mod tests {
         let lca = LcaTable::build(&t);
         let q = CutQuery::build(&g, &t, &lca, 0.5, &Meter::disabled());
         let m = Meter::disabled();
-        // 300 pairs cycling over 25 distinct ones: plenty of duplicates.
-        let pairs: Vec<(u32, u32)> =
-            (0..300u32).map(|i| (1 + (i * 7) % 25, 1 + (i * 11) % 25)).collect();
-        let batch = q.cut_batch(&pairs, &m);
-        for (i, &(e, f)) in pairs.iter().enumerate() {
-            assert_eq!(batch[i], q.cut(e, f, &m), "slot {i} pair ({e},{f})");
+        for len in [0u32, 1, 63, 64, 65, 300] {
+            // Cycling over 25 distinct pairs: duplicates from len 26 on.
+            let pairs: Vec<(u32, u32)> =
+                (0..len).map(|i| (1 + (i * 7) % 25, 1 + (i * 11) % 25)).collect();
+            let batch = q.cut_batch(&pairs, &m);
+            assert_eq!(batch.len(), pairs.len(), "len {len}");
+            for (i, &(e, f)) in pairs.iter().enumerate() {
+                assert_eq!(batch[i], q.cut(e, f, &m), "len {len} slot {i} pair ({e},{f})");
+            }
+            let distinct: std::collections::BTreeSet<(u32, u32)> =
+                pairs.iter().copied().collect();
+            let (batched, probed) = (Meter::enabled(), Meter::enabled());
+            let _ = q.cut_batch(&pairs, &batched);
+            for &(e, f) in &distinct {
+                let _ = q.cut(e, f, &probed);
+            }
+            let nondegenerate = distinct.iter().filter(|&&(e, f)| e != f).count();
+            assert_eq!(batched.get(CostKind::CutQuery), nondegenerate as u64, "len {len}");
+            assert_eq!(
+                batched.get(CostKind::RangeNode),
+                probed.get(CostKind::RangeNode),
+                "len {len}: batch must charge the node visits of its distinct probes"
+            );
         }
-        // The meter sees one CutQuery per distinct (ordered) pair.
-        let distinct: std::collections::HashSet<(u32, u32)> =
-            pairs.iter().copied().filter(|&(e, f)| e != f).collect();
-        let meter = Meter::enabled();
-        let _ = q.cut_batch(&pairs, &meter);
-        assert_eq!(meter.get(CostKind::CutQuery), distinct.len() as u64);
     }
 
     #[test]

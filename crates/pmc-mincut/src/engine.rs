@@ -52,7 +52,7 @@ use crate::interest::InterestEngine;
 use crate::two_respect::{two_respecting_mincut_in, TwoRespectOutcome, TwoRespectParams};
 use pmc_graph::{CutResult, Graph};
 use pmc_parallel::meter::{CostKind, Meter};
-use pmc_parallel::scratch::ScratchPool;
+use pmc_parallel::scratch::with_scratch;
 use pmc_tree::{LcaEngine, PathDecomposition, RootedTree};
 use rayon::prelude::*;
 use std::sync::Arc;
@@ -214,10 +214,6 @@ pub struct TreeContext<'g> {
     decomp: PathDecomposition,
     interest: InterestEngine,
     params: TwoRespectParams,
-    /// Recycled per-context workspaces: batched queries and repeated
-    /// solves against this context reuse warm buffers instead of
-    /// allocating (DESIGN.md §13).
-    scratch: ScratchPool,
 }
 
 impl<'g> TreeContext<'g> {
@@ -253,7 +249,7 @@ impl<'g> TreeContext<'g> {
         // Construction critical path: LCA/centroid levels ~ log n plus
         // the range-tree height (DESIGN.md §8).
         meter.record_depth("engine:tree_build", lg2(tree.n()) + q.range_height() as u64);
-        TreeContext { tree, lca, q, decomp, interest, params: *params, scratch: ScratchPool::new() }
+        TreeContext { tree, lca, q, decomp, interest, params: *params }
     }
 
     /// Build from a packed tree's edge list (the Phase 5 entry point).
@@ -337,13 +333,6 @@ impl<'g> TreeContext<'g> {
         self.q.cov_batch_into(es, out);
     }
 
-    /// This context's recycled workspace pool (shared by the batch
-    /// facades and the solve stages).
-    #[inline]
-    pub fn scratch_pool(&self) -> &ScratchPool {
-        &self.scratch
-    }
-
     /// One 2-respecting cut value.
     #[inline]
     pub fn cut(&self, e: u32, f: u32, meter: &Meter) -> u64 {
@@ -357,11 +346,11 @@ impl<'g> TreeContext<'g> {
     }
 
     /// Batched 2-respecting cut values into a caller-owned buffer,
-    /// using this context's recycled workspace pool: with warm buffers
+    /// using the calling thread's pooled workspace: with warm buffers
     /// the steady-state call performs zero heap allocations (the
-    /// counting-allocator gate in `pmc-bench` pins this).
+    /// counting-allocator gate `tests/zero_alloc_gate.rs` pins this).
     pub fn cut_batch_into(&self, pairs: &[(u32, u32)], out: &mut Vec<u64>, meter: &Meter) {
-        self.scratch.with(|s| self.q.cut_batch_with(pairs, s, out, meter));
+        with_scratch(|s| self.q.cut_batch_with(pairs, s, out, meter));
     }
 
     /// [`TreeContext::cut_batch`] under a cooperative deadline: answers

@@ -75,15 +75,13 @@ impl InterestStrategy {
     }
 }
 
-/// The pluggable arm-tracing engine of the interest search.
+/// The arm-tracing engine of the interest search.
 ///
 /// An implementation traces one arm of `Π(e)`: the maximal descending
 /// run of interesting edges starting below `start` (with at most one
 /// child branch of `start` masked by `exclude`). The two shipped
 /// implementations are [`HeavyPathDescent`] and [`CentroidDescent`];
-/// both rely only on the public query surface of [`InterestSearch`], so
-/// external experiments can plug in further strategies through
-/// [`InterestSearch::build_with`].
+/// both rely only on the public query surface of [`InterestSearch`].
 pub trait DecompositionStrategy: Sync {
     /// Deepest vertex of the arm of `e` descending from `start`
     /// (`start` itself when the arm is empty). `exclude` masks one
@@ -296,7 +294,6 @@ impl DecompositionStrategy for CentroidDescent {
 pub enum InterestEngine {
     HeavyPath(HeavyPathDescent),
     Centroid(CentroidDescent),
-    Custom(Box<dyn DecompositionStrategy + Send>),
 }
 
 impl InterestEngine {
@@ -317,7 +314,6 @@ impl InterestEngine {
         match self {
             InterestEngine::HeavyPath(h) => h,
             InterestEngine::Centroid(c) => c,
-            InterestEngine::Custom(b) => b.as_ref(),
         }
     }
 }
@@ -361,17 +357,6 @@ impl<'a> InterestSearch<'a> {
         engine: &'a InterestEngine,
     ) -> Self {
         InterestSearch { q, lca, engine: EngineRef::Borrowed(engine) }
-    }
-
-    /// Build the search around a caller-supplied arm-tracing engine —
-    /// the extension point for experimenting with further descent
-    /// schemes beyond the two shipped ones.
-    pub fn build_with(
-        q: &'a CutQuery<'a>,
-        lca: &'a LcaEngine,
-        engine: Box<dyn DecompositionStrategy + Send>,
-    ) -> Self {
-        InterestSearch { q, lca, engine: EngineRef::Owned(InterestEngine::Custom(engine)) }
     }
 
     /// The active arm-tracing engine.
@@ -793,47 +778,6 @@ mod tests {
         assert!(is.interesting(f, e, &m));
         // e' is down-interested in f.
         assert!(is.interesting(e_prime, f, &m));
-    }
-
-    #[test]
-    fn custom_strategy_plugs_in() {
-        // The build_with extension point: a naive linear-scan descent
-        // must slot in behind the trait and agree with the defaults.
-        struct LinearScan;
-        impl DecompositionStrategy for LinearScan {
-            fn descend(
-                &self,
-                search: &InterestSearch<'_>,
-                e: u32,
-                start: u32,
-                cov_e: u64,
-                mut exclude: Option<u32>,
-                meter: &Meter,
-            ) -> u32 {
-                let mut v = start;
-                loop {
-                    let Some(c) = search.interesting_child(e, v, cov_e, exclude, meter)
-                    else {
-                        return v;
-                    };
-                    exclude = None;
-                    v = c;
-                }
-            }
-            fn name(&self) -> &'static str {
-                "linear-scan"
-            }
-        }
-        let f = fixture(26, 60, 900);
-        let lca = lca_of(&f.tree);
-        let q = CutQuery::build(&f.g, &f.tree, &lca, 0.5, &Meter::disabled());
-        let m = Meter::disabled();
-        let custom = InterestSearch::build_with(&q, &lca, Box::new(LinearScan));
-        let default = InterestSearch::build(&q, &lca, InterestStrategy::default(), &m);
-        assert_eq!(custom.strategy().name(), "linear-scan");
-        for e in 1..26u32 {
-            assert_eq!(custom.arms(e, &m), default.arms(e, &m), "e={e}");
-        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ use crate::interest::{InterestEngine, InterestSearch, InterestStrategy};
 use pmc_graph::{CutResult, Graph};
 use pmc_monge::{monge_minimum, triangle_minimum, Orient};
 use pmc_parallel::meter::Meter;
-use pmc_parallel::scratch::ScratchPool;
+use pmc_parallel::scratch::with_scratch;
 use pmc_parallel::sort::SortScratch;
 use pmc_tree::{LcaEngine, LcaStrategy, LcaTable, PathDecomposition, PathStrategy, RootedTree};
 use rayon::prelude::*;
@@ -182,8 +182,7 @@ pub fn two_respecting_mincut_in(ctx: &TreeContext<'_>, meter: &Meter) -> TwoResp
         .reduce(|| Best::NONE, Best::min);
 
     // Stage 3: cross-path pairs via interest arms.
-    let cross =
-        cross_path_minimum(q, ctx.lca(), decomp, ctx.interest(), ctx.scratch_pool(), meter);
+    let cross = cross_path_minimum(q, ctx.lca(), decomp, ctx.interest(), meter);
 
     let best = one.min(single).min(cross);
     debug_assert_ne!(best.value, u64::MAX);
@@ -201,7 +200,6 @@ fn cross_path_minimum(
     lca: &LcaEngine,
     decomp: &PathDecomposition,
     engine: &InterestEngine,
-    pool: &ScratchPool,
     meter: &Meter,
 ) -> Best {
     let tree = q.tree();
@@ -245,10 +243,10 @@ fn cross_path_minimum(
             (((a as u64) << 32) | b as u64, side, e)
         })
         .collect();
-    // The radix passes run out of the context's recycled workspace:
-    // repeated solves against one context stop paying the sort's
-    // buffer/histogram allocations.
-    pool.with(|s| sort_join_keys(&mut keyed, decomp, n, &mut s.sort3));
+    // The radix passes run out of this thread's pooled workspace:
+    // repeated solves stop paying the sort's buffer/histogram
+    // allocations.
+    with_scratch(|s| sort_join_keys(&mut keyed, decomp, n, &mut s.sort3));
 
     // Contiguous runs of one pair id = one join group.
     let mut jobs: Vec<(usize, usize)> = Vec::new();

@@ -14,8 +14,8 @@
 //! * [`scan`]: parallel prefix sums;
 //! * [`sort`]: a parallel LSD radix sort (the paper's sorting primitive,
 //!   \[Ble96\]);
-//! * [`scratch`]: reusable scratch workspaces ([`Scratch`],
-//!   [`ScratchPool`], [`with_scratch`]) behind the allocation-free
+//! * [`scratch`]: reusable scratch workspaces ([`Scratch`] through the
+//!   per-thread [`with_scratch`] pool) behind the allocation-free
 //!   steady-state query path;
 //! * [`union_find`]: sequential and lock-free concurrent union-find;
 //! * [`spanning_forest`]: parallel spanning forests (the Halperin–Zwick
@@ -33,6 +33,6 @@ pub mod spanning_forest;
 pub mod union_find;
 
 pub use meter::{CostKind, CostReport, Meter};
-pub use scratch::{with_scratch, Scratch, ScratchPool};
+pub use scratch::{with_scratch, Scratch};
 pub use sort::SortScratch;
 pub use union_find::{ConcurrentUnionFind, UnionFind};

@@ -16,7 +16,6 @@
 // lint: hotpath-module
 use crate::{degree_for_eps, Point2};
 use pmc_parallel::meter::{CostKind, Meter};
-use pmc_parallel::scratch::with_scratch;
 
 /// Static 2-D range-sum structure over weighted grid points.
 ///
@@ -146,88 +145,14 @@ impl RangeTree2D {
         self.node_total.last().copied().unwrap_or(0)
     }
 
-    /// Below this many rectangles the per-rect loop beats the fused
-    /// sweep (no cover materialization, no sort) and stays allocation
-    /// free — `weight_to_outside` submits at most 2 rects this way.
-    const FUSED_CUTOFF: usize = 16;
-
     /// Total weight over a batch of rectangles `(x1, x2, y1, y2)` —
     /// the slice-submission form of [`RangeTree2D::sum_rect`]. Callers
     /// that decompose one logical query into several rectangles (the
     /// complement slabs of a nested cut query, for instance) submit the
-    /// whole batch in one call instead of probing rectangle by
-    /// rectangle.
-    ///
-    /// Small batches run the per-rect loop; larger ones go through the
-    /// fused single-sweep kernel ([`RangeTree2D::sum_rects_tagged`])
-    /// with a pooled workspace. Both paths visit the identical multiset
-    /// of `(level, node)` aux chunks and add `u64` partial sums, so the
-    /// result and the meter totals are bit-identical either way.
+    /// whole batch in one call. Allocation free: each rectangle runs
+    /// the per-rect peel loop.
     pub fn sum_rects(&self, rects: &[(u32, u32, u32, u32)], meter: &Meter) -> u64 {
-        if rects.len() < Self::FUSED_CUTOFF {
-            return rects.iter().map(|&(x1, x2, y1, y2)| self.sum_rect(x1, x2, y1, y2, meter)).sum();
-        }
-        with_scratch(|s| {
-            s.rects.clear();
-            s.rects.extend(
-                rects.iter().enumerate().map(|(i, &(x1, x2, y1, y2))| (x1, x2, y1, y2, i as u32)),
-            );
-            s.acc.clear();
-            s.acc.resize(rects.len(), 0);
-            self.sum_rects_tagged(&s.rects, &mut s.acc, &mut s.cover, meter);
-            s.acc.iter().sum()
-        })
-    }
-
-    /// Fused batch kernel: answer every tagged rectangle
-    /// `(x1, x2, y1, y2, tag)` in **one cache-blocked sweep** over the
-    /// flat arena, accumulating each rectangle's sum into `out[tag]`
-    /// (slots are `+=`ed, callers zero them first).
-    ///
-    /// Instead of walking the canonical cover rect by rect (which
-    /// revisits levels in an arena-hostile order when rects are
-    /// unsorted), every rect is first *decomposed* into its cover items
-    /// — one `(level, node)` visit plus the rect's y-window and tag —
-    /// then all items are sorted by packed `(level, node)` key and
-    /// answered in a single pass. Consecutive items hit the same or
-    /// adjacent node chunks of `ys`/`prefix`, so the sweep streams the
-    /// arena front to back once per level instead of hopscotching.
-    ///
-    /// Bit-identity: the cover of a rect is the same set of aux lookups
-    /// `sum_rect` performs, each lookup is a pure function of
-    /// `(level, node, y1, y2)`, and per-tag accumulation is `u64`
-    /// addition (associative and commutative), so any answer order
-    /// yields the identical sums and the identical meter charge.
-    /// Allocation: everything lives in the caller's buffers; warm
-    /// buffers make the kernel allocation free.
-    pub fn sum_rects_tagged(
-        &self,
-        rects: &[(u32, u32, u32, u32, u32)],
-        out: &mut [u64],
-        cover: &mut Vec<(u64, u64, u32)>,
-        meter: &Meter,
-    ) {
-        cover.clear();
-        for &(x1, x2, y1, y2, tag) in rects {
-            if x1 > x2 || y1 > y2 || self.xs.is_empty() {
-                continue;
-            }
-            let lo = self.xs.partition_point(|&x| x < x1);
-            let hi = self.xs.partition_point(|&x| x <= x2);
-            let ywin = ((y1 as u64) << 32) | y2 as u64;
-            self.for_each_cover(lo, hi, |lvl, node| {
-                cover.push((((lvl as u64) << 48) | node as u64, ywin, tag));
-            });
-        }
-        // In-place unstable sort: no allocation, and deterministic here
-        // because full tuples compare (ties broken by y-window and tag).
-        cover.sort_unstable();
-        for &(key, ywin, tag) in cover.iter() {
-            let lvl = (key >> 48) as usize;
-            let node = (key & ((1u64 << 48) - 1)) as usize;
-            out[tag as usize] +=
-                self.aux_sum(lvl, node, (ywin >> 32) as u32, ywin as u32, meter);
-        }
+        rects.iter().map(|&(x1, x2, y1, y2)| self.sum_rect(x1, x2, y1, y2, meter)).sum()
     }
 
     /// Total weight of points in `[x1, x2] x [y1, y2]` (inclusive).
@@ -247,19 +172,8 @@ impl RangeTree2D {
     /// that level's node width; peel nodes off each end until both ends
     /// align to the next level's width. At most `degree - 1` nodes per
     /// end per level, i.e. the lemma's `O(n^ε)` nodes per level.
-    fn sum_leaf_range(&self, lo: usize, hi: usize, y1: u32, y2: u32, meter: &Meter) -> u64 {
+    fn sum_leaf_range(&self, mut lo: usize, mut hi: usize, y1: u32, y2: u32, meter: &Meter) -> u64 {
         let mut sum = 0u64;
-        self.for_each_cover(lo, hi, |lvl, node| sum += self.aux_sum(lvl, node, y1, y2, meter));
-        sum
-    }
-
-    /// Visit the canonical cover of leaves `[lo, hi)` as
-    /// `(level, node)` pairs — the shared walk behind both the per-rect
-    /// and the fused batch query paths.
-    fn for_each_cover(&self, mut lo: usize, mut hi: usize, mut visit: impl FnMut(usize, usize)) {
-        if lo >= hi {
-            return;
-        }
         for lvl in 0..self.widths.len() {
             if lo >= hi {
                 break;
@@ -268,15 +182,16 @@ impl RangeTree2D {
             let next = width * self.degree;
             debug_assert!(lo.is_multiple_of(width) && hi.is_multiple_of(width));
             while !lo.is_multiple_of(next) && lo < hi {
-                visit(lvl, lo / width);
+                sum += self.aux_sum(lvl, lo / width, y1, y2, meter);
                 lo += width;
             }
             while !hi.is_multiple_of(next) && lo < hi {
-                visit(lvl, hi / width - 1);
+                sum += self.aux_sum(lvl, hi / width - 1, y1, y2, meter);
                 hi -= width;
             }
         }
         debug_assert!(lo >= hi, "cover incomplete: [{lo},{hi})");
+        sum
     }
 
     /// Interval sum `y in [y1, y2]` inside one node's y-sorted chunk.
@@ -444,81 +359,6 @@ mod tests {
             rects.iter().map(|&(x1, x2, y1, y2)| t.sum_rect(x1, x2, y1, y2, &m)).sum();
         assert_eq!(batched, singles);
         assert_eq!(t.sum_rects(&[], &m), 0);
-    }
-
-    #[test]
-    fn fused_batch_is_bit_identical_to_per_rect_including_meter() {
-        let mut rng = StdRng::seed_from_u64(99);
-        let pts: Vec<Point2> = (0..600)
-            .map(|_| Point2 {
-                x: rng.random_range(0..96),
-                y: rng.random_range(0..96),
-                w: rng.random_range(1..32),
-            })
-            .collect();
-        for degree in [2usize, 4, 17] {
-            let t = RangeTree2D::with_degree(pts.clone(), degree, &Meter::disabled());
-            // Well over FUSED_CUTOFF, with inverted/empty rects mixed in.
-            let rects: Vec<(u32, u32, u32, u32)> = (0..200)
-                .map(|i| {
-                    let a = rng.random_range(0..100u32);
-                    let b = rng.random_range(0..100u32);
-                    let c = rng.random_range(0..100u32);
-                    let d = rng.random_range(0..100u32);
-                    if i % 7 == 0 {
-                        (b.max(a) + 1, a.min(b), c, d) // inverted x: empty
-                    } else {
-                        (a.min(b), a.max(b), c.min(d), c.max(d))
-                    }
-                })
-                .collect();
-            let (mf, mp) = (Meter::enabled(), Meter::enabled());
-            let fused = t.sum_rects(&rects, &mf);
-            let per_rect: u64 =
-                rects.iter().map(|&(x1, x2, y1, y2)| t.sum_rect(x1, x2, y1, y2, &mp)).sum();
-            assert_eq!(fused, per_rect, "degree={degree}");
-            assert_eq!(
-                mf.get(CostKind::RangeNode),
-                mp.get(CostKind::RangeNode),
-                "degree={degree}: fused sweep must charge the identical node visits"
-            );
-        }
-    }
-
-    #[test]
-    fn sum_rects_tagged_accumulates_per_tag_on_reused_buffers() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let pts: Vec<Point2> = (0..300)
-            .map(|_| Point2 {
-                x: rng.random_range(0..50),
-                y: rng.random_range(0..50),
-                w: rng.random_range(1..10),
-            })
-            .collect();
-        let m = Meter::disabled();
-        let t = RangeTree2D::with_degree(pts, 3, &m);
-        let mut cover = Vec::new();
-        for round in 0..4usize {
-            let k = [40, 3, 90, 1][round];
-            // Two rects share each tag to exercise `+=` accumulation.
-            let rects: Vec<(u32, u32, u32, u32, u32)> = (0..k)
-                .flat_map(|tag| {
-                    let a = rng.random_range(0..25u32);
-                    let b = rng.random_range(25..50u32);
-                    [(a, b, 0, 24, tag as u32), (a, b, 25, 49, tag as u32)]
-                })
-                .collect();
-            let mut out = vec![0u64; k];
-            t.sum_rects_tagged(&rects, &mut out, &mut cover, &m);
-            for (tag, &got) in out.iter().enumerate() {
-                let expect: u64 = rects
-                    .iter()
-                    .filter(|r| r.4 as usize == tag)
-                    .map(|&(x1, x2, y1, y2, _)| t.sum_rect(x1, x2, y1, y2, &m))
-                    .sum();
-                assert_eq!(got, expect, "round={round} tag={tag}");
-            }
-        }
     }
 
     #[test]

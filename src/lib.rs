@@ -49,8 +49,6 @@ pub mod prelude {
         ExactResult, GraphContext, InterestStrategy, TreeContext, TwoRespectParams,
     };
     pub use pmc_fault::{Deadline, DegradeReason, FaultPlan, PmcError, SolveQuality};
-    pub use pmc_parallel::{
-        with_scratch, CostKind, CostReport, Meter, Scratch, ScratchPool, SortScratch,
-    };
+    pub use pmc_parallel::{with_scratch, CostKind, CostReport, Meter, Scratch, SortScratch};
     pub use pmc_tree::{LcaEngine, LcaStrategy};
 }

@@ -1,9 +1,9 @@
-//! Bit-identity of the fused batch kernels (DESIGN.md §13): the
-//! grouped + fused-range-sweep `cut_batch` path and the batched-LCA
-//! build pass must return exactly the per-query answers — across
-//! 1/2/4-thread pools, both [`LcaStrategy`] substrates, and
-//! arbitrarily recycled scratch workspaces. Reuse and fusion are
-//! optimizations, never behavioral inputs.
+//! Bit-identity of the batched query path (DESIGN.md §13): the grouped
+//! `cut_batch` path, which probes each distinct pair once and scatters
+//! its value to every requester, must return exactly the per-query
+//! answers — across 1/2/4-thread pools, both [`LcaStrategy`]
+//! substrates, and arbitrarily recycled scratch workspaces. Grouping
+//! and reuse are optimizations, never behavioral inputs.
 
 use parallel_mincut::prelude::*;
 use pmc_bench::workloads::graph_with_tree;
@@ -25,7 +25,7 @@ fn context_for<'g>(
 }
 
 /// Request mix exercising every grouping case: hot duplicates, `e == f`
-/// degenerates, nested and disjoint pairs, above the grouping cutoff.
+/// degenerates, nested and disjoint pairs.
 fn request_mix(n: usize, rng: &mut StdRng) -> Vec<(u32, u32)> {
     let hot: Vec<(u32, u32)> = (0..40)
         .map(|_| (rng.random_range(1..n as u32), rng.random_range(1..n as u32)))
@@ -61,7 +61,7 @@ fn fused_cut_batch_is_bit_identical_across_pools_and_strategies() {
                 let mut cov_out = Vec::new();
                 ctx.cut_batch_into(&pairs, &mut cut_out, &m);
                 ctx.cov_batch_into(&es, &mut cov_out);
-                // Second round on the same (now warm) context pool.
+                // Second round on this thread's (now warm) workspace.
                 let mut second = Vec::new();
                 ctx.cut_batch_into(&pairs, &mut second, &m);
                 (cut_out, cov_out, second)
@@ -87,8 +87,8 @@ fn one_scratch_serves_100_consecutive_batches() {
     let mut scratch = Scratch::new();
     let mut out = Vec::new();
     for round in 0..100usize {
-        // Vary the batch size across the grouping cutoff (64) so the
-        // workspace alternates between the direct and fused paths.
+        // Vary the batch size, with and without duplicates, so the
+        // recycled workspace is regrown and reused at mixed shapes.
         let len = [3, 200, 70, 1, 500, 64, 63][round % 7];
         let pairs: Vec<(u32, u32)> = (0..len)
             .map(|_| (rng.random_range(1..n as u32), rng.random_range(1..n as u32)))
@@ -100,9 +100,9 @@ fn one_scratch_serves_100_consecutive_batches() {
     }
 }
 
-/// 100 consecutive solves through one context (one workspace pool)
-/// return the identical outcome — the serving-layer reuse contract
-/// extended to the scratch-arena refactor.
+/// 100 consecutive solves through one context (on one thread's
+/// recycled workspace) return the identical outcome — the
+/// serving-layer reuse contract extended to the scratch arenas.
 #[test]
 fn one_context_pool_serves_100_consecutive_solves() {
     let n = 90;

@@ -31,7 +31,7 @@ fn steady_state_batch_queries_allocate_nothing() {
     );
 
     let mut rng = StdRng::seed_from_u64(9);
-    // Above the grouping cutoff, with duplicates: the full fused path.
+    // Many duplicates: the grouping sort and the scatter are exercised.
     let hot: Vec<(u32, u32)> = (0..64)
         .map(|_| (rng.random_range(1..n as u32), rng.random_range(1..n as u32)))
         .collect();
