@@ -138,7 +138,10 @@ pub fn run_approx_quality(sizes: &[usize], seed: u64) -> Table {
 }
 
 /// E-4.24/25 + E-4.26 — the ε knob: range-structure work profile and
-/// end-to-end effect on one 2-respecting solve, dense vs sparse.
+/// end-to-end effect on one 2-respecting solve, dense vs sparse. Every
+/// ε's solve must return the all-pairs oracle's value on the same tree
+/// (asserted), so each range-tree degree the sweep visits is checked
+/// end to end.
 pub fn run_eps_sweep(n: usize, eps_values: &[f64], seed: u64) -> Table {
     let mut t = Table::new([
         "regime",
@@ -151,6 +154,7 @@ pub fn run_eps_sweep(n: usize, eps_values: &[f64], seed: u64) -> Table {
     for (regime, density) in [("dense", 0.8), ("sparse", 0.15)] {
         let (g, tree_edges) = workloads::graph_with_tree(n, density, seed);
         let tree = std::sync::Arc::new(RootedTree::from_edge_list(g.n(), &tree_edges, 0));
+        let oracle = naive_two_respecting(&g, &tree, 0.25, &Meter::disabled()).cut.value;
         for &eps in eps_values {
             let params = TwoRespectParams { eps, ..TwoRespectParams::default() };
             let build_meter = Meter::enabled();
@@ -163,7 +167,10 @@ pub fn run_eps_sweep(n: usize, eps_values: &[f64], seed: u64) -> Table {
             let t0 = Instant::now();
             let out = two_respecting_mincut(&g, &tree, &params, &meter);
             let wall = t0.elapsed();
-            assert!(out.cut.value > 0);
+            assert_eq!(
+                out.cut.value, oracle,
+                "{regime} n = {n}, eps = {eps}: differs from the all-pairs oracle"
+            );
             let rep = meter.report();
             let query_ops = rep.work_of(CostKind::RangeNode).saturating_sub(build_ops);
             t.row([
@@ -209,7 +216,7 @@ pub fn run_depth_scaling(sizes: &[usize], seed: u64) -> Table {
 /// E-depth (structural) — the critical-path gauges the meter records
 /// during one exact run: packing iterations (`O(log² n)`), Matula's
 /// contraction rounds for λ̃ (sequential, one `O(m)` scan each),
-/// range-tree height (`O(1/ε)`), the deepest packed-tree height, and the
+/// range-tree height (`⌈log_d n⌉ + 1 = O(1/ε)`), the deepest packed-tree height, and the
 /// engine's construction critical paths.
 /// These are the quantities the depth theorems bound, reported directly
 /// rather than via Brent inversion, so they read the same on any core

@@ -5,9 +5,9 @@
 //! cargo run -p pmc-bench --release -- <experiment> [full] [--smoke [n]] [--workload w]
 //! ```
 //!
-//! `full` selects the larger size ladder. `ablation`, `speedup`, `whp`
-//! and `whp packing` take `--smoke [n]`, the CI gates; `speedup` also
-//! takes `--workload`.
+//! `full` selects the larger size ladder. `epsilon_sweep`, `ablation`,
+//! `speedup`, `whp` and `whp packing` take `--smoke [n]`, the CI gates;
+//! `speedup` also takes `--workload`.
 //! Unknown experiments or arguments print usage and exit 2.
 //!
 //! End-to-end and per-phase wall time is the `perfbench` crate's job
@@ -61,7 +61,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: pmc-bench <experiment> [full] [--smoke [n]] [--workload w]\n  \
          experiments: {EXPERIMENTS}\n  \
-         --smoke: ablation, speedup, whp and 'whp packing' only; --workload \
+         --smoke: epsilon_sweep, ablation, speedup, whp and 'whp packing' only; --workload \
          (uniform|fishbone|powerlaw|nearclique): speedup only"
     );
     ExitCode::from(2)
@@ -75,7 +75,8 @@ fn main() -> ExitCode {
         _ => (name.as_str(), rest),
     };
     let Some(o) = parse(rest) else { return usage() };
-    let takes_smoke = matches!(name, "ablation" | "speedup" | "whp" | "whp packing");
+    let takes_smoke =
+        matches!(name, "epsilon_sweep" | "ablation" | "speedup" | "whp" | "whp packing");
     if (o.smoke.is_some() && !takes_smoke) || (o.workload.is_some() && name != "speedup") {
         return usage();
     }
@@ -107,15 +108,7 @@ fn main() -> ExitCode {
             "Theorem 4.18 — packing statistics (some tree must 2-respect the optimum)",
             "'2-respecting trees' ≥ 1 realizes Karger's packing guarantee.",
         ),
-        "epsilon_sweep" => report(
-            run_eps_sweep(
-                if o.full { 4096 } else { 1024 },
-                &[0.08, 0.15, 0.25, 0.5, 0.75, 1.0],
-                11,
-            ),
-            "Theorem 4.26 — ε sweep: build work falls with ε, query work rises (n^ε fan-out)",
-            "dense graphs tolerate larger ε (build dominates); sparse prefer small ε.",
-        ),
+        "epsilon_sweep" => eps_sweep(&o),
         "depth_scaling" => report(
             run_depth_scaling(ladder(&[128, 256, 512], &[128, 256, 512, 1024, 2048]), 13),
             "Depth — D̂ from T_p = W/p + D (Theorem 4.1 predicts D = O(log³ n))",
@@ -125,8 +118,9 @@ fn main() -> ExitCode {
             run_gauges(ladder(&[128, 256, 512], &[128, 256, 512, 1024, 2048]), 99),
             "Structural depth gauges (each bounded by the claimed polylog)",
             "packing iterations track lg²n; λ̃ rounds are Matula's sequential O(m) contraction\n\
-             rounds (1–3 measured); range height is O(1/ε) (constant in n at fixed ε); tree height\n\
-             is the per-tree critical path of the cut-finding stage (max over packed trees);\n\
+             rounds (1–3 measured); range height is ⌈log_d n⌉ + 1 ≤ ⌈1/ε⌉ + 1 over the n grid\n\
+             columns (at most 5 at the default ε = 1/4, whatever m); tree height is the\n\
+             per-tree critical path of the cut-finding stage (max over packed trees);\n\
              graph/tree build are the engine's construction critical paths (DESIGN.md §8),\n\
              attributed separately from query depth.",
         ),
@@ -142,6 +136,25 @@ fn main() -> ExitCode {
 fn report(t: Table, title: &str, guide: &str) {
     t.print(title);
     println!("\nReading guide: {guide}");
+}
+
+/// E-4.26. Every ε must give the all-pairs oracle's value (asserted
+/// inside the runner); `--smoke [n]` runs n = 256 by default for CI,
+/// where ε = 0.08 is degree 2 and ε = 1 is degree n.
+fn eps_sweep(o: &Opts) {
+    let n = match o.smoke {
+        Some(n) => n.unwrap_or(256),
+        None if o.full => 4096,
+        None => 1024,
+    };
+    report(
+        run_eps_sweep(n, &[0.08, 0.15, 0.25, 0.5, 0.75, 1.0], 11),
+        "Theorem 4.26 — ε sweep: build work falls with ε, query work rises (n^ε fan-out)",
+        "dense graphs tolerate larger ε (build dominates); sparse prefer small ε.",
+    );
+    if o.smoke.is_some() {
+        println!("\n--smoke: every ε agreed with the all-pairs oracle at n = {n}.");
+    }
 }
 
 /// E-ablate. Every variant must agree with the all-pairs oracle

@@ -3,8 +3,9 @@
 //! The cut-query structure of Lemma A.1 reduces `cut(e, f)` to at most
 //! two rectangle-sum queries over `m` weighted points in the
 //! `[n] x [n]` grid. [`RangeTree2D`] answers them with Lemma 4.25's
-//! two-level construction: a complete x-tree of degree `n^ε` whose
-//! nodes carry y-sorted auxiliary arrays. The lemma builds each
+//! two-level construction: a complete x-tree of degree `n^ε` over the
+//! `n` grid columns, `O(1/ε)` levels, whose nodes carry y-sorted
+//! auxiliary arrays. The lemma builds each
 //! auxiliary structure from Lemma 4.24's 1-D tree; here they are
 //! prefix arrays + binary search, which never exceed the lemma's
 //! `O(n^ε/ε)` aux-query bound for `ε ≥ 1/log n` (DESIGN.md §5).

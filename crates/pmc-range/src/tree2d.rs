@@ -1,17 +1,19 @@
 //! Lemma 4.25: the two-level `n^ε`-degree range tree on the grid.
 //!
-//! First level: a complete d-ary tree over the points sorted by `x`.
-//! Second level: for every node of every level, the points below it
-//! sorted by `y` with prefix-summed weights (the paper's auxiliary
-//! arrays `A_aux(u)`; interval sums over them play the role of the
-//! auxiliary trees `T_aux(u)` — binary search never exceeds the lemma's
-//! `O(n^ε/ε)` aux-query cost for admissible `ε`, see DESIGN.md).
+//! First level: a complete d-ary tree over the `U` grid columns (`U = n`
+//! for cut queries), so `⌈log_d U⌉ + 1 = O(1/ε)` levels whatever the
+//! number of points. Second level: for every node of every level, the
+//! points in its columns sorted by `y`, with prefix-summed weights (the
+//! paper's auxiliary arrays `A_aux(u)`; interval sums over them play
+//! the role of the auxiliary trees `T_aux(u)` — binary search never
+//! exceeds the lemma's `O(n^ε/ε)` aux-query cost for admissible `ε`,
+//! see DESIGN.md).
 //!
-//! A rectangle query `[x1,x2] x [y1,y2]` finds the canonical cover of
-//! the x-interval — `O(d)` nodes per level, `O(1/ε)` levels — and sums
-//! one y-interval per covered node: `O(n^ε/ε)` node visits, each with a
-//! logarithmic-cost aux lookup, matching the query profile the
-//! ε-crossover experiment (E-4.26) sweeps.
+//! A rectangle query `[x1,x2] x [y1,y2]` is the column interval
+//! `[x1, x2 + 1)`. Its canonical cover takes `O(d)` nodes per level,
+//! `O(1/ε)` levels, and sums one y-interval per covered node: `O(n^ε/ε)`
+//! node visits, each with a logarithmic-cost aux lookup, matching the
+//! query profile the ε-crossover experiment (E-4.26) sweeps.
 
 // lint: hotpath-module
 use crate::{degree_for_eps, Point2};
@@ -19,116 +21,105 @@ use pmc_parallel::meter::{CostKind, Meter};
 
 /// Static 2-D range-sum structure over weighted grid points.
 ///
-/// Every level stores the x-sorted points re-sorted by `(node, y)` plus
-/// chunk-local prefix weights. All levels are concatenated into flat
-/// CSR-style arenas — `ys` and `prefix` hold exactly `len()` entries
-/// per level (level `k` occupies `[k*len(), (k+1)*len())`), while the
-/// variable-width per-node totals carry an explicit offsets vector —
-/// so a query's level walk stays inside three contiguous buffers
-/// instead of hopping across per-level allocations.
+/// Leaves are the grid columns `0..U`. Level `k` holds the points
+/// grouped by `x / d^k` (node order), y-sorted inside each group, so
+/// node `v`'s chunk is `[col_start[v·w], col_start[min((v+1)·w, U)])`
+/// for width `w = d^k` at every level. All levels are concatenated into
+/// two flat arenas: `ys` holds `len()` y-keys per level and `prefix`
+/// one level-wide running weight of `len() + 1` entries per level, so
+/// a chunk's interval sum is the difference of two `prefix` entries
+/// and a query's level walk stays inside three contiguous buffers.
 #[derive(Debug, Clone)]
 pub struct RangeTree2D {
     degree: usize,
-    /// Points sorted by x (leaf order); `xs[i]` is the x of leaf `i`.
-    xs: Vec<u32>,
-    /// Leaf width of one node at each level (`degree^level`).
+    /// `col_start[x]` = number of points with x-coordinate below `x`,
+    /// for `x` in `0..=U`.
+    col_start: Vec<usize>,
+    /// Column width of one node at each level (`degree^level`), up to
+    /// the first width `≥ U`.
     widths: Vec<usize>,
-    /// Per-level y-keys sorted within each node chunk, levels
-    /// concatenated (each level is `len()` entries).
+    /// Per-level y-keys in node order, y-sorted within each node;
+    /// level `k` occupies `[k*len(), (k+1)*len())`.
     ys: Vec<u32>,
-    /// Prefix weights *within each node chunk*: at level `k`,
-    /// `prefix[k*len() + i]` = sum of weights of that chunk's points
-    /// before in-chunk index `i`; the chunk's total sits at its last
-    /// slot + weight (handled in query).
+    /// Per-level running weights: `prefix[k*(len()+1) + i]` is the
+    /// weight of level `k`'s first `i` points.
     prefix: Vec<u64>,
-    /// Total weight per node (needed because prefix is chunk-local);
-    /// level `k` occupies
-    /// `node_total[node_total_offsets[k]..node_total_offsets[k + 1]]`.
-    node_total: Vec<u64>,
-    node_total_offsets: Vec<usize>,
 }
 
 impl RangeTree2D {
-    /// Build with degree `max(2, ceil(universe^eps))`.
+    /// Build with degree `max(2, ceil(universe^eps))` over the columns
+    /// `0..U`, `U` = `universe` (widened to cover every coordinate).
     pub fn build(points: Vec<Point2>, universe: usize, eps: f64, meter: &Meter) -> Self {
-        Self::with_degree(points, degree_for_eps(universe, eps), meter)
+        let universe = universe.max(coord_bound(&points));
+        Self::over_columns(&points, universe, degree_for_eps(universe, eps), meter)
     }
 
-    /// Build with an explicit branching factor (`degree >= 2`).
-    ///
-    /// Sorts once and scatters once per level. A stable counting sort
-    /// puts the points in y-order; a second, by x, over that order
-    /// numbers the leaves. Both take `O(m + U)` work and `O(U)` space for
-    /// `U` = the largest coordinate + 1 (the grid side `n` for cut
-    /// queries). Each level is then one `O(m)` pass over the y-ordered
-    /// points that appends every point to its node's chunk — Lemma
-    /// 4.25's per-level merge as a stable scatter — so each chunk comes
-    /// out y-sorted with its prefix weights, written straight into the
-    /// flat arenas.
+    /// Build with an explicit branching factor (`degree >= 2`) over the
+    /// columns `0..U`, `U` = the largest coordinate + 1.
     pub fn with_degree(points: Vec<Point2>, degree: usize, meter: &Meter) -> Self {
+        Self::over_columns(&points, coord_bound(&points), degree, meter)
+    }
+
+    /// Sorts once and scatters once per level. A stable counting sort
+    /// puts the points in y-order; counting the x-coordinates gives
+    /// `col_start`. Both take `O(m + U)` work and `O(U)` space. Each
+    /// level is then one `O(m)` pass over the y-ordered points that
+    /// appends every point to its node's chunk — Lemma 4.25's per-level
+    /// merge as a stable scatter — so each chunk comes out y-sorted,
+    /// written straight into the flat arenas, and one running sum over
+    /// the level fills its `prefix`.
+    fn over_columns(points: &[Point2], universe: usize, degree: usize, meter: &Meter) -> Self {
         assert!(degree >= 2);
         let m = points.len();
         meter.add(CostKind::RangeNode, m as u64);
-        let universe = points.iter().map(|p| p.x.max(p.y) as usize + 1).max().unwrap_or(0);
+        let col_start = bucket_starts(points.iter().map(|p| p.x), universe);
 
         // y-order: one stable counting sort by y.
         let mut next = bucket_starts(points.iter().map(|p| p.y), universe);
         // HOTPATH: warmup — build-time arrays, allocated once per tree.
         let mut by_y = vec![Point2::default(); m];
-        for p in &points {
+        for p in points {
             by_y[next[p.y as usize]] = *p;
             next[p.y as usize] += 1;
-        }
-        // Leaf order: a stable counting sort by x over the y-order, so
-        // leaves run by (x, y) and equal points keep their input order.
-        // `leaf[j]` is the leaf of the `j`-th point in y-order.
-        let mut next = bucket_starts(points.iter().map(|p| p.x), universe);
-        // HOTPATH: warmup — build-time arrays, allocated once per tree.
-        let (mut xs, mut leaf) = (vec![0u32; m], vec![0u32; m]);
-        for (p, leaf) in by_y.iter().zip(&mut leaf) {
-            let i = next[p.x as usize];
-            next[p.x as usize] += 1;
-            xs[i] = p.x;
-            *leaf = i as u32;
         }
 
         // HOTPATH: warmup — build-time arenas, allocated once per tree.
         let widths: Vec<usize> =
-            std::iter::successors(Some(1), |&w| (w < m).then(|| w * degree)).collect();
-        let (mut ys, mut prefix) = (vec![0u32; m * widths.len()], vec![0u64; m * widths.len()]);
-        let mut node_total = Vec::with_capacity(2 * m + widths.len());
-        let mut node_total_offsets = vec![0usize];
-        // Per-node write cursor into the level's chunk.
-        let mut cursor = vec![0usize; m.max(1)];
+            std::iter::successors(Some(1), |&w| (w < universe).then(|| w * degree)).collect();
+        let h = widths.len();
+        let (mut ys, mut prefix) = (vec![0u32; m * h], vec![0u64; (m + 1) * h]);
+        // `next` becomes each node's write cursor (its `U + 1` entries
+        // cover any level); `node_of` spares a division per point.
+        let mut node_of = vec![0u32; universe];
         for (lvl, &width) in widths.iter().enumerate() {
-            let num_nodes = m.div_ceil(width).max(1);
-            let (ys, prefix) = (&mut ys[lvl * m..][..m], &mut prefix[lvl * m..][..m]);
-            let total = node_total.len();
-            node_total.resize(total + num_nodes, 0);
-            let node_total = &mut node_total[total..];
-            for (nd, c) in cursor[..num_nodes].iter_mut().enumerate() {
-                *c = nd * width;
+            let (ys, prefix) = (&mut ys[lvl * m..][..m], &mut prefix[lvl * (m + 1)..][..m + 1]);
+            for (nd, cols) in node_of.chunks_mut(width).enumerate() {
+                next[nd] = col_start[nd * width];
+                cols.fill(nd as u32);
             }
-            for (p, &leaf) in by_y.iter().zip(&leaf) {
-                let nd = leaf as usize / width;
-                let c = cursor[nd];
-                cursor[nd] += 1;
+            for p in &by_y {
+                let nd = node_of[p.x as usize] as usize;
+                let c = next[nd];
+                next[nd] += 1;
                 ys[c] = p.y;
-                prefix[c] = node_total[nd];
-                node_total[nd] += p.w;
+                prefix[c + 1] = p.w;
             }
-            node_total_offsets.push(total + num_nodes);
+            let mut acc = 0;
+            for w in &mut prefix[1..] {
+                acc += *w;
+                *w = acc;
+            }
             meter.add(CostKind::RangeNode, m as u64);
         }
-        RangeTree2D { degree, xs, widths, ys, prefix, node_total, node_total_offsets }
+        RangeTree2D { degree, col_start, widths, ys, prefix }
     }
 
     pub fn len(&self) -> usize {
-        self.xs.len()
+        self.col_start[self.col_start.len() - 1]
     }
 
     pub fn is_empty(&self) -> bool {
-        self.xs.is_empty()
+        self.len() == 0
     }
 
     pub fn degree(&self) -> usize {
@@ -140,9 +131,8 @@ impl RangeTree2D {
     }
 
     pub fn total(&self) -> u64 {
-        // The top level has exactly one node; its total is the last
-        // entry of the flat per-node-total arena.
-        self.node_total.last().copied().unwrap_or(0)
+        // Every level's running weight ends at the total.
+        self.prefix.last().copied().unwrap_or(0)
     }
 
     /// Total weight over a batch of rectangles `(x1, x2, y1, y2)` —
@@ -157,63 +147,68 @@ impl RangeTree2D {
 
     /// Total weight of points in `[x1, x2] x [y1, y2]` (inclusive).
     pub fn sum_rect(&self, x1: u32, x2: u32, y1: u32, y2: u32, meter: &Meter) -> u64 {
-        if x1 > x2 || y1 > y2 || self.xs.is_empty() {
+        let universe = self.col_start.len() - 1;
+        if x1 > x2 || y1 > y2 || x1 as usize >= universe {
             return 0;
         }
-        let lo = self.xs.partition_point(|&x| x < x1);
-        let hi = self.xs.partition_point(|&x| x <= x2);
-        self.sum_leaf_range(lo, hi, y1, y2, meter)
+        // A range that runs to the last column extends to the top
+        // node's width: the columns past `U` are empty, and the high
+        // end is then aligned at every level.
+        let hi = x2 as usize + 1;
+        let hi = if hi >= universe { self.widths[self.widths.len() - 1] } else { hi };
+        self.sum_columns(x1 as usize, hi, y1, y2, meter)
     }
 
-    /// Sum over leaves `[lo, hi)` with y in `[y1, y2]`: canonical cover
-    /// of the leaf interval, one aux interval-sum per covered node.
+    /// Sum over columns `[lo, hi)` with y in `[y1, y2]`: canonical cover
+    /// of the column interval, one aux interval-sum per covered node.
     ///
     /// Bottom-up peeling: entering level `l`, both ends are aligned to
     /// that level's node width; peel nodes off each end until both ends
     /// align to the next level's width. At most `degree - 1` nodes per
     /// end per level, i.e. the lemma's `O(n^ε)` nodes per level.
-    fn sum_leaf_range(&self, mut lo: usize, mut hi: usize, y1: u32, y2: u32, meter: &Meter) -> u64 {
+    fn sum_columns(&self, mut lo: usize, mut hi: usize, y1: u32, y2: u32, meter: &Meter) -> u64 {
+        let (m, universe) = (self.len(), self.col_start.len() - 1);
         let mut sum = 0u64;
-        for lvl in 0..self.widths.len() {
+        for (lvl, &width) in self.widths.iter().enumerate() {
             if lo >= hi {
                 break;
             }
-            let width = self.widths[lvl];
+            let (ys, prefix) = (&self.ys[lvl * m..][..m], &self.prefix[lvl * (m + 1)..][..m + 1]);
+            // Interval sum `y in [y1, y2]` over the node on columns
+            // `[c, c + width)`, clipped to the grid.
+            let aux = |c: usize| {
+                let [a, b] = [c, c + width].map(|c| self.col_start[c.min(universe)]);
+                if a == b {
+                    return 0;
+                }
+                let ys = &ys[a..b];
+                meter.add(CostKind::RangeNode, (usize::BITS - ys.len().leading_zeros()) as u64 + 1);
+                let lo = a + ys.partition_point(|&y| y < y1);
+                let hi = lo + ys[lo - a..].partition_point(|&y| y <= y2);
+                prefix[hi] - prefix[lo]
+            };
             let next = width * self.degree;
             debug_assert!(lo.is_multiple_of(width) && hi.is_multiple_of(width));
-            while !lo.is_multiple_of(next) && lo < hi {
-                sum += self.aux_sum(lvl, lo / width, y1, y2, meter);
+            // Two divisions per level, not one per peeled node.
+            let lo_end = lo.next_multiple_of(next).min(hi);
+            while lo < lo_end {
+                sum += aux(lo);
                 lo += width;
             }
-            while !hi.is_multiple_of(next) && lo < hi {
-                sum += self.aux_sum(lvl, hi / width - 1, y1, y2, meter);
+            let hi_end = (hi - hi % next).max(lo);
+            while hi > hi_end {
                 hi -= width;
+                sum += aux(hi);
             }
         }
         debug_assert!(lo >= hi, "cover incomplete: [{lo},{hi})");
         sum
     }
+}
 
-    /// Interval sum `y in [y1, y2]` inside one node's y-sorted chunk.
-    fn aux_sum(&self, lvl: usize, node: usize, y1: u32, y2: u32, meter: &Meter) -> u64 {
-        let m = self.xs.len();
-        let base = lvl * m; // level `lvl` starts here in `ys`/`prefix`
-        let lo = node * self.widths[lvl];
-        let hi = ((node + 1) * self.widths[lvl]).min(m);
-        let ys = &self.ys[base + lo..base + hi];
-        meter.add(CostKind::RangeNode, (usize::BITS - ys.len().leading_zeros()) as u64 + 1);
-        let a = ys.partition_point(|&y| y < y1);
-        let b = ys.partition_point(|&y| y <= y2);
-        if a >= b {
-            return 0;
-        }
-        let upper = if lo + b == hi {
-            self.node_total[self.node_total_offsets[lvl] + node]
-        } else {
-            self.prefix[base + lo + b]
-        };
-        upper - self.prefix[base + lo + a]
-    }
+/// One more than the largest coordinate of any point (0 for none).
+fn coord_bound(points: &[Point2]) -> usize {
+    points.iter().map(|p| p.x.max(p.y) as usize + 1).max().unwrap_or(0)
 }
 
 /// Exclusive start of every key's bucket in a stable counting sort of
@@ -244,66 +239,50 @@ mod tests {
             .sum()
     }
 
-    /// `(widths, ys, prefix, node_total)`, levels concatenated.
-    type Arenas = (Vec<usize>, Vec<u32>, Vec<u64>, Vec<u64>);
+    /// `(widths, col_start, ys, prefix)`, levels concatenated.
+    type Arenas = (Vec<usize>, Vec<usize>, Vec<u32>, Vec<u64>);
 
-    /// Reference arenas: leaves by a stable sort on `(x, y)`, then per
-    /// level (widths `1, d, d², …` up to the first `≥ m`) a stable sort
-    /// of the leaf order by `(leaf / width, y)` with naive chunk-local
-    /// prefix sums.
-    fn reference_arenas(points: &[Point2], degree: usize) -> Arenas {
-        let m = points.len();
-        let mut leaves = points.to_vec();
-        leaves.sort_by_key(|p| (p.x, p.y));
+    /// Reference arenas over `universe` columns: widths `1, d, d², …`
+    /// up to the first `≥ universe`; per level a stable sort of the
+    /// input by `(x / width, y)` with one level-wide running prefix.
+    fn reference_arenas(points: &[Point2], universe: usize, degree: usize) -> Arenas {
         let mut widths = vec![1];
-        while *widths.last().unwrap() < m {
+        while *widths.last().unwrap() < universe {
             widths.push(widths.last().unwrap() * degree);
         }
-        let (mut ys, mut prefix, mut node_total) = (Vec::new(), Vec::new(), Vec::new());
+        let col_start =
+            (0..=universe).map(|x| points.iter().filter(|p| (p.x as usize) < x).count()).collect();
+        let (mut ys, mut prefix) = (Vec::new(), Vec::new());
         for &width in &widths {
-            let mut level: Vec<(usize, Point2)> = leaves.iter().copied().enumerate().collect();
-            level.sort_by_key(|&(leaf, p)| (leaf / width, p.y));
-            if m == 0 {
-                node_total.push(0);
-            }
-            // Node `nd` holds leaves `[nd * width, (nd + 1) * width)`.
-            for chunk in level.chunks(width) {
-                let mut acc = 0u64;
-                for &(_, p) in chunk {
-                    ys.push(p.y);
-                    prefix.push(acc);
-                    acc += p.w;
-                }
-                node_total.push(acc);
+            let mut level = points.to_vec();
+            level.sort_by_key(|p| (p.x as usize / width, p.y));
+            let mut acc = 0u64;
+            prefix.push(acc);
+            for p in &level {
+                ys.push(p.y);
+                acc += p.w;
+                prefix.push(acc);
             }
         }
-        (widths, ys, prefix, node_total)
+        (widths, col_start, ys, prefix)
     }
 
-    /// Check one build against [`reference_arenas`]: `ys` and
-    /// `node_total` match exactly; `prefix` matches at every chunk start
-    /// and wherever y changes inside a chunk (the only entries a
-    /// `partition_point` boundary reads — ties on y may reorder the
-    /// rest); the enabled meter charges `m` per level plus `m` up front.
-    fn assert_matches_reference(points: &[Point2], t: &RangeTree2D, meter: &Meter, what: &str) {
-        let m = points.len();
-        let (widths, ys, prefix, node_total) = reference_arenas(points, t.degree());
-        let mut xs: Vec<u32> = points.iter().map(|p| p.x).collect();
-        xs.sort_unstable();
-        assert_eq!(t.xs, xs, "{what}: leaf order");
+    /// Check one build over `universe` columns against
+    /// [`reference_arenas`], arena for arena; the enabled meter charges
+    /// `m` per level plus `m` up front.
+    fn assert_matches_reference(
+        points: &[Point2],
+        universe: usize,
+        t: &RangeTree2D,
+        meter: &Meter,
+        what: &str,
+    ) {
+        let (widths, col_start, ys, prefix) = reference_arenas(points, universe, t.degree());
+        assert_eq!(t.col_start, col_start, "{what}: col_start");
         assert_eq!(t.widths, widths, "{what}: widths");
         assert_eq!(t.ys, ys, "{what}: ys");
-        assert_eq!(t.node_total, node_total, "{what}: node_total");
-        assert_eq!(t.node_total_offsets.len(), t.height() + 1, "{what}: offsets");
-        assert_eq!(t.node_total_offsets.last(), Some(&node_total.len()), "{what}: offsets");
-        for (lvl, &width) in t.widths.iter().enumerate() {
-            for i in 0..m {
-                let at = lvl * m + i;
-                if i % width == 0 || ys[at] != ys[at - 1] {
-                    assert_eq!(t.prefix[at], prefix[at], "{what}: prefix level {lvl} index {i}");
-                }
-            }
-        }
+        assert_eq!(t.prefix, prefix, "{what}: prefix");
+        let m = points.len();
         assert_eq!(meter.get(CostKind::RangeNode), (m * (t.height() + 1)) as u64, "{what}: meter");
     }
 
@@ -311,11 +290,11 @@ mod tests {
     fn arena_matches_per_level_sort_reference() {
         let mut rng = StdRng::seed_from_u64(18);
         for degree in [2usize, 3, 4, 17, 1024] {
-            let dk = (1..).map(|k| degree.pow(k)).find(|&p| p >= 256).unwrap();
-            for m in [0, 1, dk - 1, dk, dk + 1] {
+            for m in [0, 1, 2, 255, 256, 257] {
                 // A small grid forces duplicate x, duplicate y and
-                // duplicate points with different weights.
-                for universe in [4u32, 64] {
+                // duplicate points with different weights; 150 is no
+                // power of any degree here.
+                for universe in [4u32, 64, 150] {
                     let pts: Vec<Point2> = (0..m)
                         .map(|_| Point2 {
                             x: rng.random_range(0..universe),
@@ -323,10 +302,13 @@ mod tests {
                             w: rng.random_range(1..1000),
                         })
                         .collect();
+                    let what = format!("degree={degree} m={m} universe={universe}");
                     let meter = Meter::enabled();
                     let t = RangeTree2D::with_degree(pts.clone(), degree, &meter);
-                    let what = format!("degree={degree} m={m} universe={universe}");
-                    assert_matches_reference(&pts, &t, &meter, &what);
+                    assert_matches_reference(&pts, coord_bound(&pts), &t, &meter, &what);
+                    let meter = Meter::enabled();
+                    let t = RangeTree2D::build(pts.clone(), universe as usize, 0.5, &meter);
+                    assert_matches_reference(&pts, universe as usize, &t, &meter, &what);
                 }
             }
         }
@@ -341,8 +323,8 @@ mod tests {
             .collect();
         let meter = Meter::enabled();
         let t = RangeTree2D::build(pts.clone(), 150, 0.25, &meter);
-        assert_eq!(t.degree(), 4);
-        assert_matches_reference(&pts, &t, &meter, "workload shape");
+        assert_eq!((t.degree(), t.height()), (4, 5));
+        assert_matches_reference(&pts, 150, &t, &meter, "workload shape");
     }
 
     #[test]
@@ -419,6 +401,68 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Every rectangle over `[0, universe + 3)²`, including those with
+    /// `x2 ≥ U` or `x1` past the last column, against brute force.
+    fn assert_all_rects(points: &[Point2], t: &RangeTree2D, universe: u32, what: &str) {
+        let m = Meter::disabled();
+        for x1 in 0..universe + 3 {
+            for x2 in x1..universe + 3 {
+                for (y1, y2) in [(0, u32::MAX), (0, universe / 2), (universe / 3, universe - 1)] {
+                    assert_eq!(
+                        t.sum_rect(x1, x2, y1, y2, &m),
+                        brute(points, x1, x2, y1, y2),
+                        "{what}: rect=[{x1},{x2}]x[{y1},{y2}]"
+                    );
+                }
+            }
+            let to_end = brute(points, x1, u32::MAX, 0, u32::MAX);
+            assert_eq!(t.sum_rect(x1, u32::MAX, 0, u32::MAX, &m), to_end, "{what}: [{x1}, ∞)");
+        }
+    }
+
+    #[test]
+    fn column_layout_edge_cases() {
+        let mut rng = StdRng::seed_from_u64(25);
+        let mut pts = |m: usize, universe: u32, cols: &[u32]| -> Vec<Point2> {
+            (0..m)
+                .map(|_| Point2 {
+                    x: cols[rng.random_range(0..cols.len())],
+                    y: rng.random_range(0..universe),
+                    w: rng.random_range(1..50),
+                })
+                .collect()
+        };
+        // Empty columns: only every third column and the last one hold
+        // points, so whole nodes at every level are empty.
+        let sparse: Vec<u32> = (0..50).filter(|x| x % 3 == 0).chain([49]).collect();
+        let p = pts(300, 50, &sparse);
+        for degree in [2, 3, 7] {
+            let t = RangeTree2D::with_degree(p.clone(), degree, &Meter::disabled());
+            assert_all_rects(&p, &t, 50, &format!("empty columns, degree={degree}"));
+        }
+        // A universe that is no power of the degree: 150 columns at
+        // degree 4 (top width 256) and degree 6 (top width 216), so the
+        // height is ⌈log_d 150⌉ + 1.
+        let all: Vec<u32> = (0..150).collect();
+        let p = pts(600, 150, &all);
+        for (eps, degree, height) in [(0.25, 4, 5), (0.35, 6, 4)] {
+            let t = RangeTree2D::build(p.clone(), 150, eps, &Meter::disabled());
+            assert_eq!((t.degree(), t.height()), (degree, height));
+            assert_all_rects(&p, &t, 150, &format!("universe 150, degree {}", t.degree()));
+        }
+        // Degree ≥ universe: one leaf level and the root.
+        let p = pts(200, 20, &all[..20]);
+        for degree in [20, 21, 1024] {
+            let t = RangeTree2D::with_degree(p.clone(), degree, &Meter::disabled());
+            assert_eq!(t.height(), 2);
+            assert_all_rects(&p, &t, 20, &format!("degree={degree} ≥ universe"));
+        }
+        // m = 0 over a nonempty universe.
+        let t = RangeTree2D::build(vec![], 40, 0.5, &Meter::disabled());
+        assert_eq!((t.len(), t.total(), t.height()), (0, 0, 3));
+        assert_all_rects(&[], &t, 40, "m = 0");
     }
 
     #[test]

@@ -17,6 +17,18 @@ use pmc_parallel::meter::Meter;
 use pmc_parallel::spanning_forest::spanning_forest_of_pairs;
 
 /// Sparse k-connectivity certificate of a weighted graph.
+///
+/// When no vertex has weighted degree above `k`, the input is its own
+/// certificate and comes back unchanged (edge order included) without
+/// running a forest round. Proof: suppose an edge still had copies
+/// after the `k` rounds. Then in every round `F_i` was a spanning
+/// forest of a graph that contained one of its copies, so `F_i` joined
+/// its endpoints, and each endpoint had a taken copy of some incident
+/// edge in every round. After `k` rounds an endpoint has `k` taken
+/// copies plus the edge's remaining one, so its weighted degree is at
+/// least `k + 1`. Hence at maximum weighted degree `≤ k` every copy of
+/// every edge is taken, which is the input graph.
+///
 /// # Example
 ///
 /// ```
@@ -30,6 +42,14 @@ use pmc_parallel::spanning_forest::spanning_forest_of_pairs;
 /// assert!(h.is_connected());
 /// ```
 pub fn k_certificate(g: &Graph, k: u64, meter: &Meter) -> Graph {
+    if (0..g.n() as u32).all(|v| g.weighted_degree(v) <= k) {
+        return g.clone();
+    }
+    forest_rounds(g, k, meter)
+}
+
+/// The `k` Nagamochi–Ibaraki forest rounds behind [`k_certificate`].
+fn forest_rounds(g: &Graph, k: u64, meter: &Meter) -> Graph {
     let n = g.n();
     // Remaining copies per edge; certificate multiplicity per edge.
     let mut remaining: Vec<u64> = g.edges().iter().map(|e| e.w).collect();
@@ -151,6 +171,28 @@ mod tests {
         let g = Graph::from_edges(6, [(0, 1, 3), (1, 2, 3), (3, 4, 3), (4, 5, 3)]);
         let h = k_certificate(&g, 2, &Meter::disabled());
         assert_eq!(h.num_components(), g.num_components());
+    }
+
+    #[test]
+    fn short_circuit_matches_forest_rounds_at_max_degree() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(20);
+        for trial in 0..40 {
+            // Random multigraphs: parallel edges, isolated vertices and
+            // several components all occur.
+            let n = rng.random_range(2..24u32);
+            let edges: Vec<(u32, u32, u64)> = (0..rng.random_range(0..3 * n))
+                .map(|_| (rng.random_range(0..n), rng.random_range(0..n), rng.random_range(1..6)))
+                .collect();
+            let g = Graph::from_edges(n as usize, edges);
+            let max_deg = (0..n).map(|v| g.weighted_degree(v)).max().unwrap();
+            for k in [max_deg.saturating_sub(1), max_deg, max_deg + 1] {
+                let fast = k_certificate(&g, k, &Meter::disabled());
+                let slow = forest_rounds(&g, k, &Meter::disabled());
+                let what = format!("trial {trial} k={k}");
+                assert_eq!((fast.n(), fast.edges()), (slow.n(), slow.edges()), "{what}");
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,16 @@
 //! running on harness threads would pollute the counters. CI also runs
 //! it in a release build (`cargo test --release --test zero_alloc_gate`),
 //! so the gate holds under the optimizer too.
+//!
+//! For the same reason no pool worker may exist while a batch is
+//! measured. A parallel build spawns workers whose start-up runs
+//! asynchronously and allocates (std's thread start copies the thread
+//! name; each worker registers its deque; every steal scan snapshots
+//! the deque registry), so one of them could allocate inside a measured
+//! window after `TreeContext::from_edges` returned. The setup
+//! therefore runs on a one-thread pool, where every `join` runs inline
+//! and no worker is ever spawned, and the test asserts that before it
+//! measures. The measured batches are sequential either way.
 
 use parallel_mincut::prelude::*;
 use pmc_bench::alloc_meter::{self, CountingAlloc};
@@ -21,14 +31,10 @@ static ALLOC: CountingAlloc = CountingAlloc;
 #[test]
 fn steady_state_batch_queries_allocate_nothing() {
     let n = 400usize;
-    let (graph, tree_edges) = pmc_bench::workloads::graph_with_tree(n, 0.5, 31);
-    let ctx = TreeContext::from_edges(
-        &graph,
-        &tree_edges,
-        0,
-        &TwoRespectParams::default(),
-        &Meter::disabled(),
-    );
+    let setup = rayon::ThreadPoolBuilder::new().num_threads(1).build().expect("one-thread pool");
+    let (graph, tree_edges) = setup.install(|| pmc_bench::workloads::graph_with_tree(n, 0.5, 31));
+    let (params, meter) = (TwoRespectParams::default(), Meter::disabled());
+    let ctx = setup.install(|| TreeContext::from_edges(&graph, &tree_edges, 0, &params, &meter));
 
     let mut rng = StdRng::seed_from_u64(9);
     // Many duplicates: the grouping sort and the scatter are exercised.
@@ -38,7 +44,9 @@ fn steady_state_batch_queries_allocate_nothing() {
     let pairs: Vec<(u32, u32)> =
         (0..2_000).map(|_| hot[rng.random_range(0..hot.len())]).collect();
     let es: Vec<u32> = (0..2_000).map(|_| rng.random_range(1..n as u32)).collect();
-    let meter = Meter::disabled();
+
+    let workers = rayon::pool_diagnostics().workers_live;
+    assert_eq!(workers, 0, "a pool worker could allocate while a batch is measured");
 
     // Warm-up sizes every scratch buffer (and must visibly allocate —
     // otherwise the allocator isn't counting and the gate is vacuous).
