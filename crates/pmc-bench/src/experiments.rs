@@ -10,7 +10,10 @@ use pmc_mincut::{
     InterestStrategy, PackingParams, TwoRespectParams,
 };
 use pmc_parallel::meter::{CostKind, Meter};
+use pmc_range::{Point2, RangeTree2D};
 use pmc_tree::{LcaStrategy, PathStrategy, RootedTree};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
 fn lg(n: usize) -> f64 {
@@ -141,7 +144,13 @@ pub fn run_approx_quality(sizes: &[usize], seed: u64) -> Table {
 /// end-to-end effect on one 2-respecting solve, dense vs sparse. Every
 /// ε's solve must return the all-pairs oracle's value on the same tree
 /// (asserted), so each range-tree degree the sweep visits is checked
-/// end to end.
+/// end to end; `total ops` and `wall ms` are that solve's.
+///
+/// A dense grid's `CutQuery` answers from a prefix table, whatever ε,
+/// so `build ops` and `query ops` come from Lemma 4.25's tree built
+/// directly on the tree's grid points at that ε. Its queries are the
+/// rectangles of as many pseudo-random `cov(e, f)` pairs as the solve
+/// made cut queries, each checked against `CutQuery::cov2`.
 pub fn run_eps_sweep(n: usize, eps_values: &[f64], seed: u64) -> Table {
     let mut t = Table::new([
         "regime",
@@ -155,14 +164,18 @@ pub fn run_eps_sweep(n: usize, eps_values: &[f64], seed: u64) -> Table {
         let (g, tree_edges) = workloads::graph_with_tree(n, density, seed);
         let tree = std::sync::Arc::new(RootedTree::from_edge_list(g.n(), &tree_edges, 0));
         let oracle = naive_two_respecting(&g, &tree, 0.25, &Meter::disabled()).cut.value;
+        let lca = pmc_tree::LcaTable::build(&tree);
+        let q = pmc_mincut::CutQuery::build(&g, &tree, &lca, 0.25, &Meter::disabled());
+        let points: Vec<Point2> = g
+            .edges()
+            .iter()
+            .flat_map(|e| {
+                let (x, y) = (tree.post(e.u), tree.post(e.v));
+                [Point2 { x, y, w: e.w }, Point2 { x: y, y: x, w: e.w }]
+            })
+            .collect();
         for &eps in eps_values {
             let params = TwoRespectParams { eps, ..TwoRespectParams::default() };
-            let build_meter = Meter::enabled();
-            // Separate build cost: a bare CutQuery build.
-            let lca = pmc_tree::LcaTable::build(&tree);
-            let _q = pmc_mincut::CutQuery::build(&g, &tree, &lca, eps, &build_meter);
-            let build_ops = build_meter.report().work_of(CostKind::RangeNode);
-
             let meter = Meter::enabled();
             let t0 = Instant::now();
             let out = two_respecting_mincut(&g, &tree, &params, &meter);
@@ -172,12 +185,26 @@ pub fn run_eps_sweep(n: usize, eps_values: &[f64], seed: u64) -> Table {
                 "{regime} n = {n}, eps = {eps}: differs from the all-pairs oracle"
             );
             let rep = meter.report();
-            let query_ops = rep.work_of(CostKind::RangeNode).saturating_sub(build_ops);
+
+            let build_meter = Meter::enabled();
+            let range = RangeTree2D::build(points.clone(), n, eps, &build_meter);
+            let query_meter = Meter::enabled();
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..rep.work_of(CostKind::CutQuery) {
+                let (e, f) = loop {
+                    let (e, f) = (rng.random_range(0..n as u32), rng.random_range(0..n as u32));
+                    if e != f && e != tree.root() && f != tree.root() {
+                        break (e, f);
+                    }
+                };
+                let sum = range.sum_rects(&q.cov2_rects(e, f), &query_meter);
+                assert_eq!(sum, q.cov2(e, f, &Meter::disabled()), "{regime} eps = {eps} ({e},{f})");
+            }
             t.row([
                 regime.to_string(),
                 format!("{eps:.2}"),
-                fmt_count(build_ops),
-                fmt_count(query_ops),
+                fmt_count(build_meter.get(CostKind::RangeNode)),
+                fmt_count(query_meter.get(CostKind::RangeNode)),
                 fmt_count(rep.total_work()),
                 format!("{:.1}", wall.as_secs_f64() * 1e3),
             ]);
@@ -216,8 +243,9 @@ pub fn run_depth_scaling(sizes: &[usize], seed: u64) -> Table {
 /// E-depth (structural) — the critical-path gauges the meter records
 /// during one exact run: packing iterations (`O(log² n)`), Matula's
 /// contraction rounds for λ̃ (sequential, one `O(m)` scan each),
-/// range-tree height (`⌈log_d n⌉ + 1 = O(1/ε)`), the deepest packed-tree height, and the
-/// engine's construction critical paths.
+/// range-tree height (`⌈log_d n⌉ + 1 = O(1/ε)`; 1 on a prefix table),
+/// the deepest packed-tree height, and the engine's construction
+/// critical paths.
 /// These are the quantities the depth theorems bound, reported directly
 /// rather than via Brent inversion, so they read the same on any core
 /// count.

@@ -119,7 +119,8 @@ fn main() -> ExitCode {
             "Structural depth gauges (each bounded by the claimed polylog)",
             "packing iterations track lg²n; λ̃ rounds are Matula's sequential O(m) contraction\n\
              rounds (1–3 measured); range height is ⌈log_d n⌉ + 1 ≤ ⌈1/ε⌉ + 1 over the n grid\n\
-             columns (at most 5 at the default ε = 1/4, whatever m); tree height is the\n\
+             columns (at most 5 at the default ε = 1/4, whatever m), and 1 where n² ≤ 16·m puts\n\
+             the grid in a prefix table (DESIGN.md §5); tree height is the\n\
              per-tree critical path of the cut-finding stage (max over packed trees);\n\
              graph/tree build are the engine's construction critical paths (DESIGN.md §8),\n\
              attributed separately from query depth.",

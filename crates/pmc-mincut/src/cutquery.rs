@@ -40,6 +40,101 @@ pub struct BatchOutcome {
     pub quality: SolveQuality,
 }
 
+/// The grid answers rectangles from a dense prefix table when
+/// `n² ≤ TABLE_CELLS_PER_EDGE · m`, and from Lemma 4.25's range tree
+/// otherwise. At 16 the table's `8(n + 1)²` bytes stay within about
+/// 128 B per edge, near the range tree's footprint, while a larger
+/// factor raised peak memory 1.4–2.6× (DESIGN.md §5, "Dense grids").
+const TABLE_CELLS_PER_EDGE: usize = 16;
+
+/// `RangeNode` charge of one non-empty rectangle on the prefix table:
+/// one per table load.
+const TABLE_RECT_COST: u64 = 4;
+
+/// How [`CutQuery::rect`] sums a rectangle of the `[n] × [n]` grid.
+enum Grid {
+    /// The `(n + 1)²` 2-D prefix table: `prefix[x·side + y]` is the
+    /// weight of the points in `[0, x) × [0, y)`, `side = n + 1`.
+    Table { side: usize, prefix: Vec<u64> },
+    /// Lemma 4.25's `n^ε`-degree range tree.
+    Tree(RangeTree2D),
+}
+
+impl Grid {
+    /// The prefix table over both orientations of every edge: scatter
+    /// each weight into cell `(x + 1, y + 1)`, then one running sum
+    /// along every row and one down every column. Charges one
+    /// `RangeNode` per point scattered and one per table cell.
+    fn table(g: &Graph, tree: &RootedTree, meter: &Meter) -> Self {
+        let side = tree.n() + 1;
+        // HOTPATH: warmup — build-time table, allocated once per tree.
+        let mut prefix = vec![0u64; side * side];
+        for e in g.edges() {
+            let (x, y) = (tree.post(e.u) as usize + 1, tree.post(e.v) as usize + 1);
+            prefix[x * side + y] += e.w;
+            prefix[y * side + x] += e.w;
+        }
+        for row in prefix.chunks_exact_mut(side) {
+            let mut acc = 0;
+            for c in row {
+                acc += *c;
+                *c = acc;
+            }
+        }
+        for x in 1..side {
+            let (above, row) = prefix[(x - 1) * side..][..2 * side].split_at_mut(side);
+            for (c, a) in row.iter_mut().zip(above) {
+                *c += *a;
+            }
+        }
+        meter.add(CostKind::RangeNode, 2 * g.m() as u64 + (side * side) as u64);
+        Grid::Table { side, prefix }
+    }
+
+    /// Lemma 4.25's range tree over both orientations of every edge.
+    fn tree(g: &Graph, tree: &RootedTree, eps: f64, meter: &Meter) -> Self {
+        let mut pts = Vec::with_capacity(g.m() * 2);
+        for e in g.edges() {
+            let (pu, pv) = (tree.post(e.u), tree.post(e.v));
+            pts.push(Point2 { x: pu, y: pv, w: e.w });
+            pts.push(Point2 { x: pv, y: pu, w: e.w });
+        }
+        Grid::Tree(RangeTree2D::build(pts, tree.n().max(2), eps, meter))
+    }
+
+    /// Sum over `[x1, x2] × [y1, y2]` (inclusive; empty if inverted).
+    /// Always inlined, so a cut query on the tree calls `sum_rect`
+    /// directly and one on the table does its four loads in place.
+    #[inline(always)]
+    fn rect(&self, x1: u32, x2: u32, y1: u32, y2: u32, meter: &Meter) -> u64 {
+        match self {
+            Grid::Table { side, prefix } => {
+                let side = *side;
+                let (x1, y1) = (x1 as usize, y1 as usize);
+                let (x2, y2) = ((x2 as usize + 1).min(side - 1), (y2 as usize + 1).min(side - 1));
+                if x1 >= x2 || y1 >= y2 {
+                    return 0;
+                }
+                meter.add(CostKind::RangeNode, TABLE_RECT_COST);
+                let at = |x: usize, y: usize| prefix[x * side + y];
+                // Two row strips `[0, x) × [y1, y2]`, each non-negative,
+                // the first containing the second: no step underflows.
+                (at(x2, y2) - at(x2, y1)) - (at(x1, y2) - at(x1, y1))
+            }
+            Grid::Tree(t) => t.sum_rect(x1, x2, y1, y2, meter),
+        }
+    }
+
+    /// 1 for the table, whose build is two independent prefix passes;
+    /// the range tree's level count otherwise.
+    fn height(&self) -> usize {
+        match self {
+            Grid::Table { .. } => 1,
+            Grid::Tree(t) => t.height(),
+        }
+    }
+}
+
 /// Cut queries for a fixed spanning tree of a fixed graph.
 ///
 /// The tree is held through an [`Arc`] so the structure can live inside
@@ -48,7 +143,7 @@ pub struct BatchOutcome {
 pub struct CutQuery<'a> {
     g: &'a Graph,
     tree: Arc<RootedTree>,
-    points: RangeTree2D,
+    grid: Grid,
     /// `cov[v]` = `w(T_{e_v})` for the tree edge below `v`; 0 at the root.
     cov: Vec<u64>,
     /// Largest valid coordinate (`n - 1`).
@@ -56,8 +151,11 @@ pub struct CutQuery<'a> {
 }
 
 impl<'a> CutQuery<'a> {
-    /// Preprocess with the `n^eps`-degree range tree of Lemma 4.25.
-    /// `eps` close to `1/log n` gives the binary-tree profile; larger
+    /// Preprocess the grid of Lemma 4.25. A dense grid, `n² ≤ C·m`
+    /// with `C` = 16, becomes the `(n + 1)²` prefix table, `O(n² + m) =
+    /// O(m)` work and four loads per rectangle; any other grid gets the
+    /// `n^eps`-degree range tree. `eps` only shapes the range tree:
+    /// close to `1/log n` it gives the binary-tree profile, and larger
     /// `eps` trades query fan-out for height (Theorem 4.26's knob).
     ///
     /// The two halves of the build are independent given the LCA table —
@@ -79,16 +177,13 @@ impl<'a> CutQuery<'a> {
     ) -> Self {
         let n = tree.n();
         assert_eq!(g.n(), n, "graph and tree must share the vertex set");
-        let (points, cov) = rayon::join(
+        let (grid, cov) = rayon::join(
             || {
-                // Grid points, both orientations.
-                let mut pts = Vec::with_capacity(g.m() * 2);
-                for e in g.edges() {
-                    let (pu, pv) = (tree.post(e.u), tree.post(e.v));
-                    pts.push(Point2 { x: pu, y: pv, w: e.w });
-                    pts.push(Point2 { x: pv, y: pu, w: e.w });
+                if n * n <= TABLE_CELLS_PER_EDGE * g.m() {
+                    Grid::table(g, tree, meter)
+                } else {
+                    Grid::tree(g, tree, eps, meter)
                 }
-                RangeTree2D::build(pts, n.max(2), eps, meter)
             },
             || {
                 // cov via the LCA difference trick: +w at both endpoints,
@@ -119,11 +214,11 @@ impl<'a> CutQuery<'a> {
                     .collect::<Vec<u64>>()
             },
         );
-        meter.record_depth("cutquery:range_height", points.height() as u64);
+        meter.record_depth("cutquery:range_height", grid.height() as u64);
         CutQuery {
             g,
             tree: Arc::clone(tree),
-            points,
+            grid,
             cov,
             max_coord: (n as u32).saturating_sub(1),
         }
@@ -145,10 +240,11 @@ impl<'a> CutQuery<'a> {
         Arc::clone(&self.tree)
     }
 
-    /// Height of the underlying 2-D range tree (depth accounting).
+    /// Height of the underlying 2-D range tree (depth accounting); 1
+    /// when a dense grid is answered from the prefix table.
     #[inline]
     pub fn range_height(&self) -> usize {
-        self.points.height()
+        self.grid.height()
     }
 
     /// `w(Te)` for the edge below `v` — the 1-respecting cut value.
@@ -281,28 +377,33 @@ impl<'a> CutQuery<'a> {
 
     /// Rectangle sum over `[x1,x2] x [y1,y2]` (inclusive; empty if
     /// inverted).
+    #[inline]
     pub fn rect(&self, x1: u32, x2: u32, y1: u32, y2: u32, meter: &Meter) -> u64 {
-        self.points.sum_rect(x1, x2, y1, y2, meter)
+        self.grid.rect(x1, x2, y1, y2, meter)
     }
 
-    /// Weight of graph edges from inside subtree(`a`) to *outside*
-    /// subtree(`b`), where subtree(`a`) ⊆ subtree(`b`). The complement
-    /// of `b`'s postorder interval splits into two slabs, submitted as
-    /// one rectangle batch.
-    fn weight_to_outside(&self, a: u32, b: u32, meter: &Meter) -> u64 {
-        let (ax1, ax2) = (self.tree.start(a), self.tree.post(a));
-        let (bs, bp) = (self.tree.start(b), self.tree.post(b));
-        let mut rects = [(0u32, 0u32, 0u32, 0u32); 2];
-        let mut k = 0;
-        if bs > 0 {
-            rects[k] = (ax1, ax2, 0, bs - 1);
-            k += 1;
-        }
-        if bp < self.max_coord {
-            rects[k] = (ax1, ax2, bp + 1, self.max_coord);
-            k += 1;
-        }
-        self.points.sum_rects(&rects[..k], meter)
+    /// The grid rectangles whose sum is `cov(e, f)`, for distinct
+    /// non-root `e` and `f`: `T_e × T_f` for disjoint subtrees; for
+    /// nested ones, the lower subtree against each slab of the
+    /// complement of the upper subtree's postorder interval. A slot
+    /// with nothing to sum holds an inverted (empty) rectangle.
+    #[inline]
+    pub fn cov2_rects(&self, e: u32, f: u32) -> [(u32, u32, u32, u32); 2] {
+        const EMPTY: (u32, u32, u32, u32) = (1, 0, 1, 0);
+        let t = &self.tree;
+        let (hi, lo) = if t.is_ancestor(e, f) {
+            (e, f)
+        } else if t.is_ancestor(f, e) {
+            (f, e)
+        } else {
+            return [(t.start(e), t.post(e), t.start(f), t.post(f)), EMPTY];
+        };
+        let (x1, x2) = (t.start(lo), t.post(lo));
+        let (hs, hp) = (t.start(hi), t.post(hi));
+        [
+            if hs > 0 { (x1, x2, 0, hs - 1) } else { EMPTY },
+            if hp < self.max_coord { (x1, x2, hp + 1, self.max_coord) } else { EMPTY },
+        ]
     }
 
     /// `cov(e, f)`: weight of graph edges covering both tree edges.
@@ -310,16 +411,13 @@ impl<'a> CutQuery<'a> {
     pub fn cov2(&self, e: u32, f: u32, meter: &Meter) -> u64 {
         debug_assert_ne!(e, f);
         meter.bump(CostKind::CutQuery);
-        let t = &self.tree;
-        if t.is_ancestor(e, f) {
-            // f strictly below e: edges from T_f to outside T_e.
-            self.weight_to_outside(f, e, meter)
-        } else if t.is_ancestor(f, e) {
-            self.weight_to_outside(e, f, meter)
-        } else {
-            // Disjoint subtrees: edges between them.
-            self.rect(t.start(e), t.post(e), t.start(f), t.post(f), meter)
-        }
+        // Inlined, the empty slot of a disjoint pair is a constant and
+        // its filter folds away: no call is made for it.
+        self.cov2_rects(e, f)
+            .iter()
+            .filter(|&&(x1, x2, y1, y2)| x1 <= x2 && y1 <= y2)
+            .map(|&(x1, x2, y1, y2)| self.rect(x1, x2, y1, y2, meter))
+            .sum()
     }
 
     /// The 2-respecting cut value determined by tree edges `e` and `f`
@@ -364,7 +462,7 @@ mod tests {
     use pmc_parallel::spanning_forest::spanning_forest;
     use pmc_tree::{LcaEngine, LcaStrategy, LcaTable};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn spanning_tree_of(g: &Graph, root: u32) -> Arc<RootedTree> {
         let forest = spanning_forest(g, &Meter::disabled());
@@ -518,18 +616,127 @@ mod tests {
         }
     }
 
+    /// Two range trees of different degree answer alike. The graph is
+    /// sparse enough (`n² > 16·m`) that neither build takes the table.
     #[test]
     fn eps_variants_agree() {
         let mut rng = StdRng::seed_from_u64(106);
-        let g = generators::gnm_connected(40, 120, 8, &mut rng);
+        let g = generators::gnm_connected(60, 90, 8, &mut rng);
         let t = spanning_tree_of(&g, 0);
         let lca = LcaTable::build(&t);
         let m = Meter::disabled();
         let q1 = CutQuery::build(&g, &t, &lca, 0.12, &m);
         let q2 = CutQuery::build(&g, &t, &lca, 0.9, &m);
-        for e in 1..40u32 {
-            for f in (e + 1..40u32).step_by(3) {
+        assert!(q1.range_height() > q2.range_height() && q2.range_height() > 1);
+        for e in 1..60u32 {
+            for f in (e + 1..60u32).step_by(3) {
                 assert_eq!(q1.cut(e, f, &m), q2.cut(e, f, &m));
+            }
+        }
+    }
+
+    /// All-pairs `cut(e, f)` against the explicit partition on graphs
+    /// on both sides of the `n² ≤ 16·m` threshold, with the path each
+    /// build took read from `range_height()`: 1 on the prefix table,
+    /// more on the range tree.
+    #[test]
+    fn cut_matches_bruteforce_on_both_grid_paths() {
+        let mut rng = StdRng::seed_from_u64(109);
+        let cases = [
+            ("complete", generators::complete(14, 3), true),
+            ("near_clique", generators::near_clique(24, 0.3, 9, &mut rng), true),
+            ("gnm 20/60", generators::gnm_connected(20, 60, 5, &mut rng), true),
+            ("cycle", generators::cycle(30, 4), false),
+            ("gnm 40/40", generators::gnm_connected(40, 40, 7, &mut rng), false),
+        ];
+        for (name, g, on_table) in cases {
+            let n = g.n() as u32;
+            let dense = g.n() * g.n() <= 16 * g.m();
+            assert_eq!(dense, on_table, "{name}: wrong side of the threshold");
+            // A spanning-forest tree and a path tree (every pair nested).
+            let path: Vec<u32> = (0..n).map(|v| v.saturating_sub(1)).collect();
+            for t in [spanning_tree_of(&g, n / 2), Arc::new(RootedTree::from_parents(0, &path))] {
+                let lca = LcaTable::build(&t);
+                let q = CutQuery::build(&g, &t, &lca, 0.5, &Meter::disabled());
+                assert_eq!(q.range_height() == 1, on_table, "{name}: height {}", q.range_height());
+                let m = Meter::disabled();
+                for e in (0..n).filter(|&v| v != t.root()) {
+                    for f in (e + 1..n).filter(|&v| v != t.root()) {
+                        assert_eq!(q.cut(e, f, &m), brute_cut(&g, &t, e, f), "{name} ({e},{f})");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The prefix table's rectangle sums equal `RangeTree2D::sum_rect`
+    /// over the same grid points, on random rectangles that include
+    /// inverted and out-of-range ones, and the build charges one
+    /// `RangeNode` per point plus one per table cell.
+    #[test]
+    fn table_rects_match_range_tree() {
+        let mut rng = StdRng::seed_from_u64(110);
+        let g = generators::near_clique(40, 0.2, 50, &mut rng);
+        let t = spanning_tree_of(&g, 7);
+        let lca = LcaTable::build(&t);
+        let build = Meter::enabled();
+        let q = CutQuery::build(&g, &t, &lca, 0.5, &build);
+        assert_eq!(q.range_height(), 1, "a near-clique takes the table");
+        assert_eq!(build.get(CostKind::RangeNode), 2 * g.m() as u64 + 41 * 41);
+        let pts = g
+            .edges()
+            .iter()
+            .flat_map(|e| {
+                let (x, y) = (t.post(e.u), t.post(e.v));
+                [Point2 { x, y, w: e.w }, Point2 { x: y, y: x, w: e.w }]
+            })
+            .collect();
+        let tree = RangeTree2D::build(pts, 40, 0.5, &Meter::disabled());
+        let m = Meter::disabled();
+        for _ in 0..2_000 {
+            let [x1, x2, y1, y2] = [(); 4].map(|_| rng.random_range(0..45u32));
+            assert_eq!(
+                q.rect(x1, x2, y1, y2, &m),
+                tree.sum_rect(x1, x2, y1, y2, &m),
+                "[{x1},{x2}] x [{y1},{y2}]"
+            );
+        }
+        let per_rect = Meter::enabled();
+        let _ = q.rect(0, 39, 0, 39, &per_rect);
+        let _ = q.rect(5, 4, 0, 39, &per_rect);
+        assert_eq!(per_rect.get(CostKind::RangeNode), TABLE_RECT_COST, "empty rects are free");
+    }
+
+    /// A complete graph whose total weight is the largest `parse_graph`
+    /// accepts: the table's cells reach `2W < 2^63`, and every cut still
+    /// matches the explicit partition, so the `u64` prefix arithmetic
+    /// cannot overflow on any accepted input.
+    #[test]
+    fn table_handles_the_largest_accepted_weight() {
+        use pmc_graph::io::{parse_graph, TOTAL_WEIGHT_LIMIT};
+        let n = 9u32;
+        let pairs: Vec<(u32, u32)> =
+            (0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v))).collect();
+        let total = TOTAL_WEIGHT_LIMIT - 1;
+        let (each, rest) = (total / pairs.len() as u64, total % pairs.len() as u64);
+        let mut text = format!("p {n} {}\n", pairs.len());
+        for (i, &(u, v)) in pairs.iter().enumerate() {
+            let w = if i == 0 { each + rest } else { each };
+            text += &format!("e {u} {v} {w}\n");
+        }
+        let g = parse_graph(&text).expect("total weight is below the limit");
+        assert_eq!(g.edges().iter().map(|e| e.w).sum::<u64>(), total);
+        let path: Vec<u32> = (0..n).map(|v| v.saturating_sub(1)).collect();
+        for t in [spanning_tree_of(&g, 4), Arc::new(RootedTree::from_parents(0, &path))] {
+            let lca = LcaTable::build(&t);
+            let q = CutQuery::build(&g, &t, &lca, 0.5, &Meter::disabled());
+            assert_eq!(q.range_height(), 1, "a complete graph takes the table");
+            let m = Meter::disabled();
+            for e in (0..n).filter(|&v| v != t.root()) {
+                assert_eq!(q.cut(e, e, &m), brute_cov(&g, &t, e), "edge {e}");
+                for f in (e + 1..n).filter(|&v| v != t.root()) {
+                    assert_eq!(q.cut(e, f, &m), brute_cut(&g, &t, e, f), "pair ({e},{f})");
+                }
             }
         }
     }

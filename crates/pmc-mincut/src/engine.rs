@@ -247,7 +247,8 @@ impl<'g> TreeContext<'g> {
             },
         );
         // Construction critical path: LCA/centroid levels ~ log n plus
-        // the range-tree height (DESIGN.md §8).
+        // the range-tree height, 1 when a dense grid is answered from
+        // the prefix table (DESIGN.md §5, §8).
         meter.record_depth("engine:tree_build", lg2(tree.n()) + q.range_height() as u64);
         TreeContext { tree, lca, q, decomp, interest, params: *params }
     }

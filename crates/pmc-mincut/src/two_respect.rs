@@ -39,6 +39,8 @@ pub struct TwoRespectParams {
     /// `ε` of the range structures (Lemma 4.25 / Theorem 4.26). Values
     /// near `1/log n` give the binary range tree; larger values give
     /// flatter trees with cheaper construction and costlier queries.
+    /// It only shapes the range-tree path: a dense grid (`n² ≤ 16·m`)
+    /// is answered from a prefix table, whatever `ε` (DESIGN.md §5).
     pub eps: f64,
     /// Which Property-4.3 decomposition to use.
     pub strategy: PathStrategy,

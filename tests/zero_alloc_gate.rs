@@ -2,7 +2,9 @@
 //! allocator installed for this whole test binary, the steady-state
 //! batched query path (`cut_batch_into` / `cov_batch_into` on a warm
 //! `TreeContext`) must perform exactly zero heap allocations
-//! (DESIGN.md §13).
+//! (DESIGN.md §13). The gate runs once per cut-query grid: a graph
+//! with `n² > 16·m` answers rectangles from the range tree, a denser
+//! one from the prefix table (DESIGN.md §5).
 //!
 //! One `#[test]` only: the gauge is process-global, so sibling tests
 //! running on harness threads would pollute the counters. CI also runs
@@ -30,11 +32,22 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 #[test]
 fn steady_state_batch_queries_allocate_nothing() {
+    // `n² ≤ 16·m` picks the cut-query grid: density 0.5 (n²/m ≈ 20)
+    // stays on the range tree, 0.8 (n²/m ≈ 3.3) takes the prefix table.
+    for (density, on_table) in [(0.5, false), (0.8, true)] {
+        gate(density, on_table);
+    }
+}
+
+fn gate(density: f64, on_table: bool) {
     let n = 400usize;
     let setup = rayon::ThreadPoolBuilder::new().num_threads(1).build().expect("one-thread pool");
-    let (graph, tree_edges) = setup.install(|| pmc_bench::workloads::graph_with_tree(n, 0.5, 31));
+    let (graph, tree_edges) =
+        setup.install(|| pmc_bench::workloads::graph_with_tree(n, density, 31));
     let (params, meter) = (TwoRespectParams::default(), Meter::disabled());
     let ctx = setup.install(|| TreeContext::from_edges(&graph, &tree_edges, 0, &params, &meter));
+    let height = ctx.cut_query().range_height();
+    assert_eq!(height == 1, on_table, "density {density}: grid height {height}");
 
     let mut rng = StdRng::seed_from_u64(9);
     // Many duplicates: the grouping sort and the scatter are exercised.
@@ -56,7 +69,7 @@ fn steady_state_batch_queries_allocate_nothing() {
         ctx.cut_batch_into(&pairs, &mut cut_out, &meter);
         ctx.cov_batch_into(&es, &mut cov_out);
     });
-    assert!(warm.allocs > 0, "counting allocator not engaged");
+    assert!(warm.allocs > 0, "density {density}: counting allocator not engaged");
     let expect_cut = cut_out.clone();
     let expect_cov = cov_out.clone();
 
@@ -68,19 +81,19 @@ fn steady_state_batch_queries_allocate_nothing() {
         assert_eq!(
             (cut_gauge.allocs, cut_gauge.peak_growth_bytes),
             (0, 0),
-            "round {round}: cut_batch_into allocated"
+            "density {density} round {round}: cut_batch_into allocated"
         );
         assert_eq!(
             (cov_gauge.allocs, cov_gauge.peak_growth_bytes),
             (0, 0),
-            "round {round}: cov_batch_into allocated"
+            "density {density} round {round}: cov_batch_into allocated"
         );
-        assert_eq!(cut_out, expect_cut, "round {round}: values drifted");
-        assert_eq!(cov_out, expect_cov, "round {round}: values drifted");
+        assert_eq!(cut_out, expect_cut, "density {density} round {round}: values drifted");
+        assert_eq!(cov_out, expect_cov, "density {density} round {round}: values drifted");
     }
 
     // The values the zero-alloc path produced are the real ones.
     for (i, &(e, f)) in pairs.iter().enumerate().step_by(97) {
-        assert_eq!(expect_cut[i], ctx.cut(e, f, &meter), "pair ({e},{f})");
+        assert_eq!(expect_cut[i], ctx.cut(e, f, &meter), "density {density} pair ({e},{f})");
     }
 }
