@@ -234,12 +234,6 @@ impl<'a> CutQuery<'a> {
         &self.tree
     }
 
-    /// A shared handle on the tree (for contexts that outlive borrows).
-    #[inline]
-    pub fn tree_handle(&self) -> Arc<RootedTree> {
-        Arc::clone(&self.tree)
-    }
-
     /// Height of the underlying 2-D range tree (depth accounting); 1
     /// when a dense grid is answered from the prefix table.
     #[inline]

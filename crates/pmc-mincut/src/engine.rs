@@ -275,12 +275,6 @@ impl<'g> TreeContext<'g> {
         &self.tree
     }
 
-    /// A shared handle on the tree.
-    #[inline]
-    pub fn tree_handle(&self) -> Arc<RootedTree> {
-        Arc::clone(&self.tree)
-    }
-
     /// The LCA substrate built for [`TwoRespectParams::lca_strategy`]:
     /// plain `lca` dispatches to the strategy's engine, level ancestors
     /// stay with the lifting table.

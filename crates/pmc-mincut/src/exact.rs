@@ -195,11 +195,10 @@ pub fn exact_mincut_deadline_in(
     }
     let gc = ctx.graph();
     let mut stats = ExactStats::default();
-    // The degradation ladder's floor: always a genuine cut of `g`.
-    let fallback = ctx.min_degree_cut();
-    // Best valid candidate accumulated so far; refined phase by phase.
+    // The degradation ladder's floor: the min-degree cut, always a
+    // genuine cut of `g`.
     let degraded = |stats: ExactStats, reason: pmc_fault::DegradeReason| ExactResult {
-        cut: fallback.clone(),
+        cut: ctx.min_degree_cut(),
         stats,
         quality: SolveQuality::Degraded(reason),
     };
@@ -265,19 +264,35 @@ pub fn exact_mincut_deadline_in(
     let trees = greedy_tree_packing(&hc, &params.packing, meter);
     stats.num_trees = trees.len();
 
-    // Phase 5: per-tree 2-respecting minimum cuts in the original graph,
-    // in parallel (the paper's outermost parallel loop). Each packed
-    // tree gets a tree-lifetime context (parallel sub-builds inside);
-    // the graph-lifetime state comes from `ctx`. The pipeline's
-    // interest-strategy knob overrides the per-solver one. Trees are
-    // skipped (not solved) once the deadline expires mid-loop; a
-    // skipped tree flags the whole run as degraded, because the packing
-    // guarantee needs every tree.
+    // Phase 5: per-tree 2-respecting minimum cuts in the original graph.
+    // The pipeline's interest-strategy knob overrides the per-solver
+    // one. A skipped tree flags the whole run as degraded, because the
+    // packing guarantee needs every tree.
     if let Err(e) = deadline.check("phase5:trees") {
         return degraded(stats, degrade_reason_of(e));
     }
     let tr_params =
         TwoRespectParams { interest_strategy: params.interest_strategy, ..params.two_respect };
+    let (cut, skipped) = solve_packed_trees(ctx, &trees, &tr_params, deadline, meter);
+    let quality = if skipped {
+        SolveQuality::Degraded(deadline.degrade_reason("phase5:trees"))
+    } else {
+        SolveQuality::Exact
+    };
+    ExactResult { cut, stats, quality }
+}
+
+/// Phase 5: the 2-respecting minimum cut on every packed tree, in
+/// parallel (the paper's outermost parallel loop), each in a
+/// tree-lifetime context, reduced with `ctx`'s min-degree cut. Trees
+/// are skipped once `deadline` expires; the flag says whether any was.
+fn solve_packed_trees(
+    ctx: &GraphContext<'_>,
+    trees: &[Vec<(u32, u32)>],
+    params: &TwoRespectParams,
+    deadline: &Deadline,
+    meter: &Meter,
+) -> (CutResult, bool) {
     let skipped = AtomicBool::new(false);
     let from_trees = trees
         .par_iter()
@@ -288,21 +303,12 @@ pub fn exact_mincut_deadline_in(
                 skipped.store(true, Ordering::Relaxed);
                 return CutResult::infinite();
             }
-            let tc = TreeContext::from_edges(gc, edges, 0, &tr_params, meter);
+            let tc = TreeContext::from_edges(ctx.graph(), edges, 0, params, meter);
             tc.solve(meter).cut
         })
         .reduce(CutResult::infinite, CutResult::min);
-
-    // Always-valid fallback candidate: the minimum weighted degree
-    // (precomputed once in the context).
-    let cut = from_trees.min(fallback);
     // Relaxed: see the store above.
-    let quality = if skipped.load(Ordering::Relaxed) {
-        SolveQuality::Degraded(deadline.degrade_reason("phase5:trees"))
-    } else {
-        SolveQuality::Exact
-    };
-    ExactResult { cut, stats, quality }
+    (from_trees.min(ctx.min_degree_cut()), skipped.load(Ordering::Relaxed))
 }
 
 /// Exact min-cut for graphs whose minimum cut is already `O(polylog)`
@@ -334,16 +340,8 @@ pub fn mincut_small_in(
     if let Some(cut) = ctx.trivial_cut() {
         return cut;
     }
-    let g = ctx.graph();
-    let trees = greedy_tree_packing(g, packing, meter);
-    let from_trees = trees
-        .par_iter()
-        .map(|edges| {
-            let tc = TreeContext::from_edges(g, edges, 0, two_respect, meter);
-            tc.solve(meter).cut
-        })
-        .reduce(CutResult::infinite, CutResult::min);
-    from_trees.min(ctx.min_degree_cut())
+    let trees = greedy_tree_packing(ctx.graph(), packing, meter);
+    solve_packed_trees(ctx, &trees, two_respect, &Deadline::never(), meter).0
 }
 
 #[cfg(test)]

@@ -27,8 +27,6 @@ use crate::interest::{InterestEngine, InterestSearch, InterestStrategy};
 use pmc_graph::{CutResult, Graph};
 use pmc_monge::{monge_minimum, triangle_minimum, Orient};
 use pmc_parallel::meter::Meter;
-use pmc_parallel::scratch::with_scratch;
-use pmc_parallel::sort::SortScratch;
 use pmc_tree::{LcaEngine, LcaStrategy, LcaTable, PathDecomposition, PathStrategy, RootedTree};
 use rayon::prelude::*;
 use std::sync::Arc;
@@ -236,8 +234,10 @@ fn cross_path_minimum(
     // the side (r vs s) and the in-path position as tie-breaks. Equal
     // keys cannot occur (each (p, q, e) tuple is unique and positions
     // within a path are distinct), so job order, list order, and the
-    // metered query counts are identical across runs and thread counts;
-    // the HashMap this replaces grouped in allocator order.
+    // metered query counts are identical across runs and thread counts.
+    // The paper sorts here with a parallel radix sort; a comparison sort
+    // of the k = O(n log n) tuples is o(m) work per tree in the
+    // non-sparse regime (DESIGN.md §3, "Join sort").
     let mut keyed: Vec<(u64, u32, u32)> = tuples
         .into_par_iter()
         .map(|(p, qid, e)| {
@@ -245,10 +245,7 @@ fn cross_path_minimum(
             (((a as u64) << 32) | b as u64, side, e)
         })
         .collect();
-    // The radix passes run out of this thread's pooled workspace:
-    // repeated solves stop paying the sort's buffer/histogram
-    // allocations.
-    with_scratch(|s| sort_join_keys(&mut keyed, decomp, n, &mut s.sort3));
+    keyed.par_sort_unstable_by_key(|&(pair, side, e)| (pair, side, decomp.pos_of(e), e));
 
     // Contiguous runs of one pair id = one join group.
     let mut jobs: Vec<(usize, usize)> = Vec::new();
@@ -276,50 +273,6 @@ fn cross_path_minimum(
             pair_minimum(q, r_run, s_run, meter)
         })
         .reduce(|| Best::NONE, Best::min)
-}
-
-/// Sort the symmetric-join tuples into `(pair, side, pos_of(e), e)`
-/// order with a two-word parallel LSD radix sort: the high word is the
-/// packed path-pair id, the low word packs `(side, position, edge)` —
-/// the paper's "(path-id, position)" key — so no comparisons happen on
-/// the hot path. Positions and edge ids are `< n < 2^31`, so the low
-/// word is exact; the wider case falls back to the comparison sort,
-/// whose order the radix path reproduces bit-identically — see
-/// `radix_join_order_matches_comparison_sort` and the shrunken-guard
-/// test driving the fallback through [`sort_join_keys_with_limit`].
-fn sort_join_keys(
-    keyed: &mut Vec<(u64, u32, u32)>,
-    decomp: &PathDecomposition,
-    n: usize,
-    scratch: &mut SortScratch<(u64, u32, u32)>,
-) {
-    sort_join_keys_with_limit(keyed, decomp, n, 1 << 31, scratch);
-}
-
-/// [`sort_join_keys`] with the packed-key guard exposed: the radix path
-/// runs only when `n < limit` (so the `(side, pos, e)` low word cannot
-/// collide). Production passes `2^31`; tests shrink `limit` to force
-/// the comparison fallback on reachable sizes and pin both paths to the
-/// same order.
-fn sort_join_keys_with_limit(
-    keyed: &mut Vec<(u64, u32, u32)>,
-    decomp: &PathDecomposition,
-    n: usize,
-    limit: u64,
-    scratch: &mut SortScratch<(u64, u32, u32)>,
-) {
-    if (n as u64) < limit {
-        pmc_parallel::sort::radix_sort_by_key2_with(
-            keyed,
-            |&(pair, _, _)| pair,
-            |&(_, side, e)| {
-                ((side as u64) << 63) | ((decomp.pos_of(e) as u64) << 32) | e as u64
-            },
-            scratch,
-        );
-    } else {
-        keyed.par_sort_unstable_by_key(|&(pair, side, e)| (pair, side, decomp.pos_of(e), e));
-    }
 }
 
 /// Minimum over `r x s` where `r`, `s` are vertical chains from two
@@ -579,83 +532,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// The radix join sort must reproduce the pre-refactor comparison
-    /// sort bit-identically — same `(pair, side, pos, e)` order, hence
-    /// the same jobs, metered counts, and witness pair.
-    #[test]
-    fn radix_join_order_matches_comparison_sort() {
-        let mut rng = StdRng::seed_from_u64(406);
-        for trial in 0..8 {
-            let n = 40 + trial * 17;
-            let g = generators::gnm_connected(n, 4 * n, 11, &mut rng);
-            let t = spanning_tree_of(&g, 0);
-            let m = Meter::disabled();
-            let decomp = PathDecomposition::build(&t, PathStrategy::HeavyPath, &m);
-            // Synthesize join tuples covering every (pair, side, pos, e)
-            // dimension: every ordered pair of paths, every edge of the
-            // first path.
-            let mut keyed: Vec<(u64, u32, u32)> = Vec::new();
-            for p in 0..decomp.num_paths() as u32 {
-                for q in 0..decomp.num_paths() as u32 {
-                    if p == q {
-                        continue;
-                    }
-                    let (a, b, side) = if p < q { (p, q, 0u32) } else { (q, p, 1u32) };
-                    for &e in decomp.path(p) {
-                        keyed.push((((a as u64) << 32) | b as u64, side, e));
-                    }
-                }
-            }
-            let mut expect = keyed.clone();
-            expect.sort_unstable_by_key(|&(pair, side, e)| {
-                (pair, side, decomp.pos_of(e), e)
-            });
-            sort_join_keys(&mut keyed, &decomp, n, &mut SortScratch::new());
-            assert_eq!(keyed, expect, "trial {trial} (n={n})");
-        }
-    }
-
-    /// The `n < 2^31` packed-key guard itself, exercised from both
-    /// sides at reachable sizes: shrinking the limit forces the
-    /// comparison fallback, widening it keeps the radix path, and the
-    /// two must agree bit-for-bit (duplicates included) so the guard
-    /// can flip without changing any downstream job order.
-    #[test]
-    fn shrunken_guard_pins_radix_to_comparison_sort() {
-        let mut rng = StdRng::seed_from_u64(407);
-        let n = 120;
-        let g = generators::gnm_connected(n, 5 * n, 13, &mut rng);
-        let t = spanning_tree_of(&g, 0);
-        let decomp =
-            PathDecomposition::build(&t, PathStrategy::HeavyPath, &Meter::disabled());
-        let mut keyed: Vec<(u64, u32, u32)> = Vec::new();
-        for p in 0..decomp.num_paths() as u32 {
-            for q in 0..decomp.num_paths() as u32 {
-                if p == q {
-                    continue;
-                }
-                let (a, b, side) = if p < q { (p, q, 0u32) } else { (q, p, 1u32) };
-                for &e in decomp.path(p) {
-                    keyed.push((((a as u64) << 32) | b as u64, side, e));
-                    // Duplicate some tuples: ties across identical keys
-                    // must land identically on both paths too.
-                    if e % 3 == 0 {
-                        keyed.push((((a as u64) << 32) | b as u64, side, e));
-                    }
-                }
-            }
-        }
-        let mut scratch = SortScratch::new();
-        let mut via_radix = keyed.clone();
-        sort_join_keys_with_limit(&mut via_radix, &decomp, n, u64::MAX, &mut scratch);
-        let mut via_cmp = keyed.clone();
-        sort_join_keys_with_limit(&mut via_cmp, &decomp, n, 0, &mut scratch); // n >= 0: fallback
-        assert_eq!(via_radix, via_cmp, "guard sides must agree");
-        // And the production entry point takes the radix side here.
-        sort_join_keys(&mut keyed, &decomp, n, &mut scratch);
-        assert_eq!(keyed, via_radix);
     }
 
     #[test]

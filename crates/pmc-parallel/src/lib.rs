@@ -13,7 +13,8 @@
 //!   Table 1 from measured counts;
 //! * [`scan`]: parallel prefix sums;
 //! * [`sort`]: a parallel LSD radix sort (the paper's sorting primitive,
-//!   \[Ble96\]);
+//!   \[Ble96\]), kept as a timed kernel: the solver's symmetric join
+//!   sorts with one comparison sort instead;
 //! * [`scratch`]: reusable scratch workspaces ([`Scratch`] through the
 //!   per-thread [`with_scratch`] pool) behind the allocation-free
 //!   steady-state query path;
@@ -34,5 +35,4 @@ pub mod union_find;
 
 pub use meter::{CostKind, CostReport, Meter};
 pub use scratch::{with_scratch, Scratch};
-pub use sort::SortScratch;
 pub use union_find::{ConcurrentUnionFind, UnionFind};

@@ -1,11 +1,11 @@
 //! Reusable scratch workspaces for the allocation-free query path.
 //!
-//! The batched query facades (`cut_batch`, `cut_batch_into`) and the
-//! solver's symmetric-join sort stop paying the allocator on every call
-//! by staging their transients in a [`Scratch`]: plain `Vec`s that are
-//! `clear()`ed (capacity retained) instead of dropped. After the first
-//! call at a given batch size every buffer is warm and the batch runs
-//! with **zero heap allocations** (gated by `tests/zero_alloc_gate.rs`).
+//! The batched query facades (`cut_batch`, `cut_batch_into`) stop
+//! paying the allocator on every call by staging their transients in a
+//! [`Scratch`]: plain `Vec`s that are `clear()`ed (capacity retained)
+//! instead of dropped. After the first call at a given batch size every
+//! buffer is warm and the batch runs with **zero heap allocations**
+//! (gated by `tests/zero_alloc_gate.rs`).
 //!
 //! Ownership rules (DESIGN.md §13):
 //!
@@ -19,7 +19,6 @@
 //!   a per-thread pool recycled pop/push-style, so the steady state
 //!   touches no allocator.
 
-use crate::sort::SortScratch;
 use std::cell::RefCell;
 
 /// The transient buffers of the batched query paths, named after
@@ -28,14 +27,6 @@ use std::cell::RefCell;
 pub struct Scratch {
     /// Packed `(key, slot)` pairs — batch dedup sorts.
     pub keys: Vec<(u64, u32)>,
-    /// Radix-sort workspace for `(u64, u32, u32)` items (symmetric join).
-    pub sort3: SortScratch<(u64, u32, u32)>,
-}
-
-impl Scratch {
-    pub fn new() -> Self {
-        Scratch::default()
-    }
 }
 
 thread_local! {

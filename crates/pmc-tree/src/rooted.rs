@@ -6,8 +6,6 @@
 //! `[start(v), post(v)]`, which is what turns cut queries into 2-D
 //! rectangle sums (Lemma A.1).
 
-use pmc_parallel::meter::{CostKind, Meter};
-
 /// An immutable rooted tree over vertices `0..n`.
 #[derive(Debug, Clone)]
 pub struct RootedTree {
@@ -206,11 +204,6 @@ impl RootedTree {
         self.start(a) <= self.post(b) && self.post(b) <= self.post(a)
     }
 
-    /// Non-root vertices, i.e. the tree edges (edge `v` = `(v, parent(v))`).
-    pub fn edge_vertices(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.n() as u32).filter(move |&v| v != self.root)
-    }
-
     /// Heavy child of `v` (child with the largest subtree), if any.
     pub fn heavy_child(&self, v: u32) -> Option<u32> {
         self.children_range(v).iter().copied().max_by_key(|&c| self.size[c as usize])
@@ -225,11 +218,6 @@ impl RootedTree {
     /// vertex).
     pub fn height(&self) -> u32 {
         self.depth.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Record the `O(n)` tree-construction work on a meter.
-    pub fn charge_build(&self, meter: &Meter) {
-        meter.add(CostKind::TreeOp, self.n() as u64);
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! pmc exact  <graph-file>            exact minimum cut (parallel pipeline)
-//! pmc approx <graph-file> [eps]      O(1)- or (1±eps)-approximation
+//! pmc approx <graph-file> [eps]      O(1)- or (1±eps)-approximation, 0 < eps <= 1
 //! pmc oracle <graph-file>            Stoer–Wagner (sequential oracle)
 //! pmc gen <kind> <n> <out-file>      write a generated workload
 //! pmc stats <graph-file>             basic graph statistics
@@ -23,6 +23,12 @@ fn usage() -> ExitCode {
          pmc oracle <graph-file>\n  pmc gen <kind> <n> <out-file>   \
          (kinds: nonsparse sparse planted heavy grid)\n  pmc stats <graph-file>"
     );
+    ExitCode::from(2)
+}
+
+/// An argument out of range: an `error:` line and the usage exit code.
+fn bad_arg(msg: &str) -> ExitCode {
+    eprintln!("error: {msg}");
     ExitCode::from(2)
 }
 
@@ -64,6 +70,13 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         ("approx", Some(path), eps, _) => {
+            let eps = match eps.map(|s| (s, s.parse::<f64>())) {
+                None => None,
+                Some((_, Ok(e))) if e > 0.0 && e <= 1.0 => Some(e),
+                Some((s, _)) => {
+                    return bad_arg(&format!("eps must be a number in (0, 1], got {s:?}"))
+                }
+            };
             let g = match load(path) {
                 Ok(g) => g,
                 Err(e) => {
@@ -72,7 +85,7 @@ fn main() -> ExitCode {
                 }
             };
             let params = ApproxParams::default();
-            match eps.and_then(|s| s.parse::<f64>().ok()) {
+            match eps {
                 Some(eps) => {
                     let lam = approx_mincut_eps(&g, eps, &params, 1, &Meter::disabled());
                     println!("(1±{eps}) approximation: {lam}");
@@ -100,6 +113,17 @@ fn main() -> ExitCode {
         }
         ("gen", Some(kind), Some(n), Some(out)) => {
             let Ok(n) = n.parse::<usize>() else { return usage() };
+            // The smallest `n` each kind's generator accepts.
+            let min_n = match kind.as_str() {
+                "grid" => 1,
+                "nonsparse" | "sparse" => 2,
+                "heavy" => 3,
+                "planted" => 4,
+                _ => return usage(),
+            };
+            if n < min_n {
+                return bad_arg(&format!("gen {kind} needs n >= {min_n}, got {n}"));
+            }
             let mut rng = StdRng::seed_from_u64(0xC11);
             let g = match kind.as_str() {
                 "nonsparse" => generators::non_sparse(n, 0.5, 16, &mut rng),

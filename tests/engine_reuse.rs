@@ -64,7 +64,7 @@ fn exact_reuse_invariant_across_thread_counts() {
         let reference = exact_mincut(&g, &params).cut;
         for threads in [1usize, 4] {
             let (one_shot, reused_a, reused_b) = with_pool(threads, || {
-                let m = Meter::disabled();
+                let m = Meter::enabled();
                 let ctx = GraphContext::build(&g, &m);
                 (
                     exact_mincut(&g, &params).cut,
@@ -124,27 +124,43 @@ fn mincut_small_reuse_matches() {
 }
 
 /// The deterministic symmetric join: the 2-respecting witness pair (not
-/// just the value) is identical across thread counts and repeated runs
-/// — the property the old HashMap-ordered join could not give.
+/// just the value) and the metered cut-query, interest-query and Monge
+/// entry counts are identical across thread counts and repeated runs —
+/// the property the old HashMap-ordered join could not give.
+///
+/// The n = 26 graphs keep every join below the rayon shim's 4,096-element
+/// sequential sort cutoff; the n = 2000 graph's largest join has 5,326
+/// tuples, so at 2 and 4 threads the join sort also runs the parallel
+/// merge.
 #[test]
 fn cross_path_witness_deterministic_across_thread_counts() {
-    let m = Meter::disabled();
-    for seed in [911u64, 912, 913] {
+    let counted = [CostKind::CutQuery, CostKind::InterestQuery, CostKind::MongeEntry];
+    for (seed, n, extra) in [(911u64, 26, 80), (912, 26, 80), (913, 26, 80), (915, 2000, 6000)] {
         let mut rng = StdRng::seed_from_u64(seed);
-        let g = generators::gnm_connected(26, 80, 8, &mut rng);
-        let forest = parallel_mincut::parallel::spanning_forest::spanning_forest(&g, &m);
+        let g = generators::gnm_connected(n, extra, 8, &mut rng);
+        let forest =
+            parallel_mincut::parallel::spanning_forest::spanning_forest(&g, &Meter::disabled());
         let edges: Vec<(u32, u32)> =
             forest.iter().map(|&i| (g.edge(i as usize).u, g.edge(i as usize).v)).collect();
         let tree = Arc::new(RootedTree::from_edge_list(g.n(), &edges, 0));
         let params = TwoRespectParams::default();
-        let reference = with_pool(1, || two_respecting_mincut(&g, &tree, &params, &m));
+        let metered_solve = |threads: usize| {
+            let m = Meter::enabled();
+            let out = with_pool(threads, || two_respecting_mincut(&g, &tree, &params, &m));
+            (out, counted.map(|kind| m.get(kind)))
+        };
+        let (reference, reference_counts) = metered_solve(1);
         for threads in [1usize, 2, 4] {
             for _rep in 0..2 {
-                let out = with_pool(threads, || two_respecting_mincut(&g, &tree, &params, &m));
+                let (out, counts) = metered_solve(threads);
                 assert_eq!(out.cut, reference.cut, "seed {seed} threads {threads}");
                 assert_eq!(
                     out.pair, reference.pair,
                     "seed {seed} threads {threads}: witness pair must be deterministic"
+                );
+                assert_eq!(
+                    counts, reference_counts,
+                    "seed {seed} threads {threads}: CutQuery/InterestQuery/MongeEntry counts"
                 );
             }
         }

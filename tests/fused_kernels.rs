@@ -84,7 +84,7 @@ fn one_scratch_serves_100_consecutive_batches() {
     let q = ctx.cut_query();
     let m = Meter::disabled();
 
-    let mut scratch = Scratch::new();
+    let mut scratch = Scratch::default();
     let mut out = Vec::new();
     for round in 0..100usize {
         // Vary the batch size, with and without duplicates, so the
@@ -95,7 +95,7 @@ fn one_scratch_serves_100_consecutive_batches() {
             .collect();
         q.cut_batch_with(&pairs, &mut scratch, &mut out, &m);
         let mut fresh_out = Vec::new();
-        q.cut_batch_with(&pairs, &mut Scratch::new(), &mut fresh_out, &m);
+        q.cut_batch_with(&pairs, &mut Scratch::default(), &mut fresh_out, &m);
         assert_eq!(out, fresh_out, "round {round} (len {len})");
     }
 }

@@ -321,13 +321,13 @@ proptest! {
         prop_assert_eq!(scanned[values.len()], acc);
 
         let mut sorted = values.clone();
-        pmc_parallel::sort::radix_sort(&mut sorted);
+        pmc_parallel::sort::radix_sort_lsd(&mut sorted, |&k| k);
         let mut expect = values.clone();
         expect.sort_unstable();
         prop_assert_eq!(sorted, expect);
     }
 
-    /// The stable LSD radix sort (the symmetric join's primitive) is
+    /// The stable LSD radix sort (the paper's sorting primitive) is
     /// bit-identical to the stable std sort under forced 1/2/4-thread
     /// pools — lengths straddle the sequential cutoff so both the
     /// fallback and the parallel pass loop are exercised.
@@ -360,9 +360,9 @@ proptest! {
         }
     }
 
-    /// The two-pass composite radix sort reproduces the comparison
-    /// sort's (hi, lo) order at every pool width — the property the
-    /// symmetric join's key packing rests on.
+    /// Two stable LSD passes, low word then high word, reproduce the
+    /// comparison sort's (hi, lo) order at every pool width — the
+    /// composition a radix sort by a multi-word key rests on.
     #[test]
     fn composite_radix_matches_comparison_across_pools(
         len in 0usize..10_000,
@@ -382,7 +382,8 @@ proptest! {
                 .expect("pool");
             let got = pool.install(|| {
                 let mut v = items.clone();
-                pmc_parallel::sort::radix_sort_by_key2(&mut v, |&(h, _, _)| h, |&(_, l, _)| l);
+                pmc_parallel::sort::radix_sort_lsd(&mut v, |&(_, l, _)| l);
+                pmc_parallel::sort::radix_sort_lsd(&mut v, |&(h, _, _)| h);
                 v
             });
             prop_assert_eq!(&got, &expect);
