@@ -3,8 +3,9 @@
 //!
 //! `tree_context_build` is the cost `TreeContext::build` amortizes per
 //! packed tree (LCA + cut-query structure + path decomposition +
-//! interest engine, forked under `rayon::join`); `cut_batch` and
-//! `solve_prebuilt` are query-only — no construction in the loop.
+//! interest engine, forked under `rayon::join`); `cut_batch_into`
+//! (into a warm buffer) and `solve_prebuilt` are query-only — no
+//! construction in the loop.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pmc_bench::workloads::graph_with_tree;
@@ -43,8 +44,12 @@ fn bench_engine(c: &mut Criterion) {
                     .map(move |f| (e, f))
             })
             .collect();
-        group.bench_with_input(BenchmarkId::new("cut_batch", n), &n, |b, _| {
-            b.iter(|| black_box(ctx.cut_batch(&pairs, &meter)))
+        let mut out = Vec::with_capacity(pairs.len());
+        group.bench_with_input(BenchmarkId::new("cut_batch_into", n), &n, |b, _| {
+            b.iter(|| {
+                ctx.cut_batch_into(&pairs, &mut out, &meter);
+                black_box(out.as_slice());
+            })
         });
         group.bench_with_input(BenchmarkId::new("solve_prebuilt", n), &n, |b, _| {
             b.iter(|| black_box(ctx.solve(&meter)))

@@ -6,7 +6,7 @@
 //! phase with [`measure`], which reports how many heap allocations the
 //! phase performed and how far the live-byte high-water mark rose above
 //! the phase's entry level. `tests/zero_alloc_gate.rs` asserts the
-//! steady-state `cut_batch_into`/`cov_batch_into` gauges are exactly 0.
+//! steady-state `cut_batch_into` gauge is exactly 0.
 //!
 //! The wrapper delegates every operation to [`System`] and adds three
 //! relaxed atomic counters, so it is cheap enough to leave installed

@@ -2,8 +2,7 @@
 //! quality flag a degraded solve carries.
 //!
 //! A [`Deadline`] is cheap to clone (an `Arc` around atomics) and is
-//! threaded by reference through the solver engine and the batch
-//! facades. Phase boundaries call [`Deadline::check`], which consumes
+//! threaded by reference through the solver engine. Phase boundaries call [`Deadline::check`], which consumes
 //! one unit of a logical budget (when one is set) and reports expiry as
 //! a typed [`PmcError`]; inner parallel loops use the non-consuming
 //! [`Deadline::expired`] probe. An expired solve does not block or

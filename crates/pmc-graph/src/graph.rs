@@ -7,6 +7,13 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Exclusive bound on a graph's total edge weight: `2^62`. Below it the
+/// solver's coverage pass, which sums `±2·w` terms in `i64`, and every
+/// `u64` cut sum stay in range. [`GraphBuilder::build`] panics at or
+/// above it; [`crate::io::parse_graph`] rejects such input with a typed
+/// error.
+pub const TOTAL_WEIGHT_LIMIT: u64 = 1 << 62;
+
 /// Vertex identifier. Graphs in this workspace are bounded by `u32`
 /// vertices; indices are widened to `usize` at use sites.
 pub type VertexId = u32;
@@ -221,16 +228,21 @@ impl GraphBuilder {
         self.edges.reserve(additional);
     }
 
+    /// Panics if the total edge weight reaches [`TOTAL_WEIGHT_LIMIT`].
     pub fn build(self) -> Graph {
         let n = self.n;
         let edges = self.edges;
         let mut total: u64 = 0;
         let mut deg = vec![0u32; n + 1];
         for e in &edges {
-            total = total.checked_add(e.w).expect("total graph weight overflows u64");
+            total = total.saturating_add(e.w);
             deg[e.u as usize + 1] += 1;
             deg[e.v as usize + 1] += 1;
         }
+        assert!(
+            total < TOTAL_WEIGHT_LIMIT,
+            "total graph weight {total} reaches TOTAL_WEIGHT_LIMIT (2^62)"
+        );
         for i in 0..n {
             deg[i + 1] += deg[i];
         }

@@ -12,14 +12,8 @@
 //! Vertices are 0-based. The format is intentionally minimal — it exists
 //! so experiment inputs can be checked in and replayed.
 
-use crate::graph::{Graph, GraphBuilder};
+use crate::graph::{Graph, GraphBuilder, TOTAL_WEIGHT_LIMIT};
 use std::fmt::Write as _;
-
-/// Exclusive bound on a graph's total edge weight: `2^62`. Below it the
-/// solver's coverage pass, which sums `±2·w` terms in `i64`, and every
-/// `u64` cut sum stay in range, so [`parse_graph`] rejects heavier
-/// inputs with [`ParseError::WeightTooLarge`].
-pub const TOTAL_WEIGHT_LIMIT: u64 = 1 << 62;
 
 /// Serialization error for [`parse_graph`]. Every malformed input —
 /// truncated files, garbage records, negative weights, out-of-range

@@ -18,8 +18,8 @@
 //!   the paper's §1 reference point for approximation),
 //! * [`io`]: a small DIMACS-like text format for graph exchange.
 //!
-//! All cut values are `u64`; the library assumes the total weight of the
-//! graph fits in `u64` (checked by [`GraphBuilder::build`]).
+//! All cut values are `u64`; a graph's total weight stays below
+//! [`TOTAL_WEIGHT_LIMIT`] = 2^62 (checked by [`GraphBuilder::build`]).
 
 pub mod generators;
 pub mod graph;
@@ -28,7 +28,7 @@ pub mod karger_stein;
 pub mod matula;
 pub mod stoer_wagner;
 
-pub use graph::{cut_of_partition, Edge, Graph, GraphBuilder, VertexId};
+pub use graph::{cut_of_partition, Edge, Graph, GraphBuilder, VertexId, TOTAL_WEIGHT_LIMIT};
 pub use karger_stein::karger_stein_mincut;
 pub use matula::{matula_approx, matula_approx_rounds};
 pub use stoer_wagner::stoer_wagner_mincut;

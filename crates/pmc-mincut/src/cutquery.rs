@@ -19,26 +19,11 @@
 //! * `cut(e,f) = cov(e) + cov(f) - 2 cov(e,f)` in *every* configuration.
 
 // lint: hotpath-module
-use pmc_fault::{Deadline, SolveQuality};
 use pmc_graph::Graph;
 use pmc_parallel::meter::{CostKind, Meter};
-use pmc_parallel::scratch::{with_scratch, Scratch};
 use pmc_range::{Point2, RangeTree2D};
 use pmc_tree::{LcaOracle, RootedTree};
 use std::sync::Arc;
-
-/// Result of a deadline-bounded batch ([`CutQuery::cut_batch_until`]):
-/// the values for the prefix of the request that completed, how long
-/// that prefix is, and whether the batch ran to the end.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchOutcome {
-    /// Cut values for `pairs[..completed]`, in request order.
-    pub values: Vec<u64>,
-    /// How many requested pairs were answered (`values.len()`).
-    pub completed: usize,
-    /// [`SolveQuality::Exact`] iff every requested pair was answered.
-    pub quality: SolveQuality,
-}
 
 /// The grid answers rectangles from a dense prefix table when
 /// `n² ≤ TABLE_CELLS_PER_EDGE · m`, and from Lemma 4.25's range tree
@@ -254,119 +239,6 @@ impl<'a> CutQuery<'a> {
     #[inline]
     pub fn cov_all(&self) -> &[u64] {
         &self.cov
-    }
-
-    /// Batched coverage lookup over a slice of tree edges — a gather
-    /// from the flat coverage arena into a caller-owned buffer.
-    /// Allocation free once `out` is warm: this is the steady-state
-    /// serving form gated by the counting-allocator smoke.
-    pub fn cov_batch_into(&self, es: &[u32], out: &mut Vec<u64>) {
-        // Delay/exhaust-capable probe (inert unless a fault plan is
-        // armed): lets chaos plans stall or expire a batch stage.
-        pmc_fault::point("engine:cov_batch");
-        out.clear();
-        out.extend(es.iter().map(|&v| self.cov(v)));
-    }
-
-    /// Batched coverage lookup returning a fresh buffer — the
-    /// convenience form of [`CutQuery::cov_batch_into`].
-    pub fn cov_batch(&self, es: &[u32]) -> Vec<u64> {
-        // HOTPATH: warmup — compat wrapper; the zero-alloc serving path
-        // is `cov_batch_into` with a caller-owned buffer.
-        let mut out = Vec::with_capacity(es.len());
-        self.cov_batch_into(es, &mut out);
-        out
-    }
-
-    /// Batched cut queries into caller-owned buffers, deterministic
-    /// output order. `e == f` entries degenerate to the 1-respecting
-    /// value, mirroring [`CutQuery::cut`].
-    ///
-    /// The batch is grouped on the packed `(e, f)` key so duplicate
-    /// pairs — common when many clients probe the same hot cuts — are
-    /// evaluated once with [`CutQuery::cut`] and scattered back to
-    /// every requester; the meter consequently counts *distinct*
-    /// queries. The grouping sort lives in `scratch`, so with warm
-    /// buffers the whole batch runs with **zero heap allocations** (the
-    /// counting-allocator gate pins this).
-    pub fn cut_batch_with(
-        &self,
-        pairs: &[(u32, u32)],
-        scratch: &mut Scratch,
-        out: &mut Vec<u64>,
-        meter: &Meter,
-    ) {
-        // Delay/exhaust-capable probe, see `cov_batch_into`.
-        pmc_fault::point("engine:cut_batch");
-        // Tag each pair with its slot and sort. `sort_unstable` on the
-        // full `(key, slot)` tuple is in-place (no allocation) and —
-        // because slots are distinct and ascending per input order —
-        // produces exactly the stable-by-key order the grouping relies
-        // on.
-        let keys = &mut scratch.keys;
-        keys.clear();
-        keys.extend(
-            pairs
-                .iter()
-                .enumerate()
-                .map(|(i, &(e, f))| (((e as u64) << 32) | f as u64, i as u32)),
-        );
-        keys.sort_unstable();
-        out.clear();
-        out.resize(pairs.len(), 0);
-        for run in keys.chunk_by(|a, b| a.0 == b.0) {
-            let key = run[0].0;
-            let value = self.cut((key >> 32) as u32, key as u32, meter);
-            for &(_, slot) in run {
-                out[slot as usize] = value;
-            }
-        }
-    }
-
-    /// Batched cut queries returning a fresh buffer — the convenience
-    /// form of [`CutQuery::cut_batch_with`] over a pooled workspace.
-    pub fn cut_batch(&self, pairs: &[(u32, u32)], meter: &Meter) -> Vec<u64> {
-        // HOTPATH: warmup — compat wrapper; the zero-alloc serving path
-        // is `cut_batch_with` with caller-owned buffers.
-        let mut out = Vec::with_capacity(pairs.len());
-        with_scratch(|s| self.cut_batch_with(pairs, s, &mut out, meter));
-        out
-    }
-
-    /// [`CutQuery::cut_batch`] under a cooperative [`Deadline`]: the
-    /// pair slice is processed in chunks, the token is consulted
-    /// (non-consuming) at each chunk boundary, and on expiry the values
-    /// computed so far are returned with `completed < pairs.len()` and
-    /// a [`SolveQuality::Degraded`] flag. A batch that runs to the end
-    /// is bit-identical to `cut_batch` and flagged
-    /// [`SolveQuality::Exact`].
-    pub fn cut_batch_until(
-        &self,
-        pairs: &[(u32, u32)],
-        deadline: &Deadline,
-        meter: &Meter,
-    ) -> BatchOutcome {
-        /// Chunk granularity: coarse enough that the per-chunk deadline
-        /// probe is noise, fine enough that expiry reacts quickly.
-        const CHUNK: usize = 256;
-        // HOTPATH: warmup — the result buffer handed to the caller.
-        let mut values = Vec::with_capacity(pairs.len());
-        let mut quality = SolveQuality::Exact;
-        // One workspace and one chunk buffer serve every chunk: past the
-        // first chunk the loop body is allocation free.
-        with_scratch(|s| {
-            // HOTPATH: warmup — reused across all chunks of this batch.
-            let mut chunk_out = Vec::with_capacity(CHUNK);
-            for chunk in pairs.chunks(CHUNK) {
-                if deadline.expired() {
-                    quality = SolveQuality::Degraded(deadline.degrade_reason("cut_batch"));
-                    break;
-                }
-                self.cut_batch_with(chunk, s, &mut chunk_out, meter);
-                values.extend_from_slice(&chunk_out);
-            }
-        });
-        BatchOutcome { completed: values.len(), values, quality }
     }
 
     /// Rectangle sum over `[x1,x2] x [y1,y2]` (inclusive; empty if
@@ -707,7 +579,8 @@ mod tests {
     /// cannot overflow on any accepted input.
     #[test]
     fn table_handles_the_largest_accepted_weight() {
-        use pmc_graph::io::{parse_graph, TOTAL_WEIGHT_LIMIT};
+        use pmc_graph::io::parse_graph;
+        use pmc_graph::TOTAL_WEIGHT_LIMIT;
         let n = 9u32;
         let pairs: Vec<(u32, u32)> =
             (0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v))).collect();
@@ -753,42 +626,47 @@ mod tests {
         }
     }
 
-    /// Grouped batches of every size, with duplicates and `e == f`
-    /// degenerates, must return exactly the per-pair values in slot
-    /// order and evaluate each distinct pair once: the enabled meter's
-    /// `CutQuery` and `RangeNode` totals equal those of one `cut` probe
-    /// per distinct pair.
+    /// `TreeContext::cut_batch_into` answers a batch of duplicates,
+    /// `e == f` degenerates, nested and disjoint pairs with the per-pair
+    /// `cut` values in request order, and charges exactly the per-pair
+    /// `CutQuery` and `RangeNode` totals, on both grid paths.
     #[test]
-    fn cut_batch_grouping_matches_individual_probes() {
+    fn cut_batch_matches_per_pair_probes_on_both_grid_paths() {
+        use crate::engine::TreeContext;
+        use crate::two_respect::TwoRespectParams;
         let mut rng = StdRng::seed_from_u64(108);
-        let g = generators::gnm_connected(30, 80, 6, &mut rng);
-        let t = spanning_tree_of(&g, 0);
-        let lca = LcaTable::build(&t);
-        let q = CutQuery::build(&g, &t, &lca, 0.5, &Meter::disabled());
-        let m = Meter::disabled();
-        for len in [0u32, 1, 63, 64, 65, 300] {
-            // Cycling over 25 distinct pairs: duplicates from len 26 on.
-            let pairs: Vec<(u32, u32)> =
-                (0..len).map(|i| (1 + (i * 7) % 25, 1 + (i * 11) % 25)).collect();
-            let batch = q.cut_batch(&pairs, &m);
-            assert_eq!(batch.len(), pairs.len(), "len {len}");
-            for (i, &(e, f)) in pairs.iter().enumerate() {
-                assert_eq!(batch[i], q.cut(e, f, &m), "len {len} slot {i} pair ({e},{f})");
-            }
-            let distinct: std::collections::BTreeSet<(u32, u32)> =
-                pairs.iter().copied().collect();
+        // n² ≤ 16·m on the first graph (prefix table), not on the second.
+        let cases = [
+            (generators::gnm_connected(30, 80, 6, &mut rng), true),
+            (generators::gnm_connected(60, 90, 6, &mut rng), false),
+        ];
+        for (g, on_table) in cases {
+            let n = g.n() as u32;
+            let (params, off) = (TwoRespectParams::default(), Meter::disabled());
+            let ctx = TreeContext::build(&g, spanning_tree_of(&g, 0), &params, &off);
+            let (t, q) = (ctx.tree(), ctx.cut_query());
+            assert_eq!(q.range_height() == 1, on_table, "n {n}: height {}", q.range_height());
+            let edges: Vec<u32> = (0..n).filter(|&v| v != t.root()).collect();
+            let distinct = edges.iter().flat_map(|&e| edges.iter().map(move |&f| (e, f)));
+            let nested = |&(e, f): &(u32, u32)| t.is_ancestor(e, f) || t.is_ancestor(f, e);
+            let mut pairs: Vec<(u32, u32)> =
+                distinct.clone().filter(|p| p.0 != p.1 && nested(p)).take(40).collect();
+            pairs.extend(distinct.filter(|p| !nested(p)).take(40));
+            assert_eq!(pairs.len(), 80, "n {n}: 40 nested and 40 disjoint pairs");
+            pairs.extend(edges.iter().step_by(5).map(|&e| (e, e)));
+            let hot: Vec<(u32, u32)> =
+                (0..200).map(|_| pairs[rng.random_range(0..pairs.len())]).collect();
+            pairs.extend(hot);
+
             let (batched, probed) = (Meter::enabled(), Meter::enabled());
-            let _ = q.cut_batch(&pairs, &batched);
-            for &(e, f) in &distinct {
-                let _ = q.cut(e, f, &probed);
+            let mut out = vec![u64::MAX; 5];
+            ctx.cut_batch_into(&pairs, &mut out, &batched);
+            let expect: Vec<u64> = pairs.iter().map(|&(e, f)| q.cut(e, f, &probed)).collect();
+            assert_eq!(out, expect, "n {n}");
+            assert!(probed.get(CostKind::CutQuery) > 0);
+            for kind in [CostKind::CutQuery, CostKind::RangeNode] {
+                assert_eq!(batched.get(kind), probed.get(kind), "n {n}: {kind:?}");
             }
-            let nondegenerate = distinct.iter().filter(|&&(e, f)| e != f).count();
-            assert_eq!(batched.get(CostKind::CutQuery), nondegenerate as u64, "len {len}");
-            assert_eq!(
-                batched.get(CostKind::RangeNode),
-                probed.get(CostKind::RangeNode),
-                "len {len}: batch must charge the node visits of its distinct probes"
-            );
         }
     }
 

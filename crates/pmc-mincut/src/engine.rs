@@ -13,18 +13,18 @@
 //!   table, the 2m-point cut-query structure of Lemma A.1, the
 //!   Property 4.3 path decomposition, and the interest-search engine of
 //!   Claim 4.13. Built once per packed tree; the postorder-dependent
-//!   state lives here and nowhere else. The range trees underneath the
-//!   cut-query structure store all levels in contiguous CSR-style
-//!   arenas (flat `Vec` + offsets), so the per-query level walks touch
-//!   a handful of contiguous buffers.
+//!   state lives here and nowhere else. The grid underneath the
+//!   cut-query structure is one flat prefix table on dense graphs and
+//!   a range tree with contiguous CSR-style level arenas otherwise, so
+//!   each probe touches a handful of contiguous buffers.
 //!
 //! Inside [`TreeContext::build`] the mutually independent sub-builds
 //! fork under `rayon::join`: the LCA table feeds the coverage array
-//! while the 2-D range tree, the path decomposition, and the centroid
-//! (or heavy-path) decomposition need only the tree itself. Both
-//! contexts expose a batched query facade (`cov_all` / `cov_batch` /
-//! `cut_batch`) so callers submit query slices instead of single
-//! probes — the substrate the serving/batching layers build on.
+//! while the 2-D grid, the path decomposition, and the centroid
+//! (or heavy-path) decomposition need only the tree itself.
+//! [`TreeContext::cut_batch_into`] answers a slice of cut queries into
+//! a caller-owned buffer, one probe per pair; single probes and the
+//! coverage array are read through [`TreeContext::cut_query`].
 //!
 //! The one-shot free functions ([`crate::exact_mincut`],
 //! [`crate::mincut_small`], [`crate::two_respecting_mincut`],
@@ -52,7 +52,6 @@ use crate::interest::InterestEngine;
 use crate::two_respect::{two_respecting_mincut_in, TwoRespectOutcome, TwoRespectParams};
 use pmc_graph::{CutResult, Graph};
 use pmc_parallel::meter::{CostKind, Meter};
-use pmc_parallel::scratch::with_scratch;
 use pmc_tree::{LcaEngine, PathDecomposition, RootedTree};
 use rayon::prelude::*;
 use std::sync::Arc;
@@ -304,60 +303,17 @@ impl<'g> TreeContext<'g> {
         &self.params
     }
 
-    /// `w(Te)` for one tree edge (1-respecting cut value).
-    #[inline]
-    pub fn cov(&self, e: u32) -> u64 {
-        self.q.cov(e)
-    }
-
-    /// The whole coverage array as one slice (batched 1-respecting
-    /// values).
-    #[inline]
-    pub fn cov_all(&self) -> &[u64] {
-        self.q.cov_all()
-    }
-
-    /// Batched coverage lookup.
-    pub fn cov_batch(&self, es: &[u32]) -> Vec<u64> {
-        self.q.cov_batch(es)
-    }
-
-    /// Batched coverage lookup into a caller-owned buffer — the
-    /// allocation-free steady-state serving form.
-    pub fn cov_batch_into(&self, es: &[u32], out: &mut Vec<u64>) {
-        self.q.cov_batch_into(es, out);
-    }
-
-    /// One 2-respecting cut value.
-    #[inline]
-    pub fn cut(&self, e: u32, f: u32, meter: &Meter) -> u64 {
-        self.q.cut(e, f, meter)
-    }
-
-    /// Batched 2-respecting cut values: one pass over the pair slice,
-    /// deterministic output order.
-    pub fn cut_batch(&self, pairs: &[(u32, u32)], meter: &Meter) -> Vec<u64> {
-        self.q.cut_batch(pairs, meter)
-    }
-
-    /// Batched 2-respecting cut values into a caller-owned buffer,
-    /// using the calling thread's pooled workspace: with warm buffers
-    /// the steady-state call performs zero heap allocations (the
-    /// counting-allocator gate `tests/zero_alloc_gate.rs` pins this).
+    /// Batched 2-respecting cut values into a caller-owned buffer, in
+    /// request order: one [`CutQuery::cut`] probe per pair, so the
+    /// meter charges every requested pair. With a warm `out` the call
+    /// performs zero heap allocations (the counting-allocator gate
+    /// `tests/zero_alloc_gate.rs` pins this).
     pub fn cut_batch_into(&self, pairs: &[(u32, u32)], out: &mut Vec<u64>, meter: &Meter) {
-        with_scratch(|s| self.q.cut_batch_with(pairs, s, out, meter));
-    }
-
-    /// [`TreeContext::cut_batch`] under a cooperative deadline: answers
-    /// a prefix of the request and flags whether it ran to the end (see
-    /// [`CutQuery::cut_batch_until`]).
-    pub fn cut_batch_until(
-        &self,
-        pairs: &[(u32, u32)],
-        deadline: &pmc_fault::Deadline,
-        meter: &Meter,
-    ) -> crate::cutquery::BatchOutcome {
-        self.q.cut_batch_until(pairs, deadline, meter)
+        // Delay/exhaust-capable probe (inert unless a fault plan is
+        // armed): lets chaos plans stall a batch.
+        pmc_fault::point("engine:cut_batch");
+        out.clear();
+        out.extend(pairs.iter().map(|&(e, f)| self.q.cut(e, f, meter)));
     }
 
     /// The minimum 2-respecting cut of this tree (Theorem 4.2), reusing
@@ -452,18 +408,20 @@ mod tests {
         let tree = spanning_tree_of(&g, 0);
         let m = Meter::disabled();
         let ctx = TreeContext::build(&g, tree, &TwoRespectParams::default(), &m);
+        let q = ctx.cut_query();
         let n = g.n() as u32;
         let root = ctx.tree().root();
         let es: Vec<u32> = (0..n).filter(|&v| v != root).collect();
-        assert_eq!(ctx.cov_batch(&es), es.iter().map(|&e| ctx.cov(e)).collect::<Vec<_>>());
         let pairs: Vec<(u32, u32)> = es
             .iter()
             .flat_map(|&e| es.iter().map(move |&f| (e, f)))
             .filter(|&(e, f)| e < f)
             .collect();
-        let batch = ctx.cut_batch(&pairs, &m);
+        let mut batch = Vec::new();
+        ctx.cut_batch_into(&pairs, &mut batch, &m);
+        assert_eq!(batch.len(), pairs.len());
         for (i, &(e, f)) in pairs.iter().enumerate() {
-            assert_eq!(batch[i], ctx.cut(e, f, &m), "pair ({e},{f})");
+            assert_eq!(batch[i], q.cut(e, f, &m), "pair ({e},{f})");
         }
     }
 

@@ -50,7 +50,7 @@ pub mod robust;
 pub mod two_respect;
 
 pub use approx::{approx_mincut, approx_mincut_eps, approx_mincut_in, ApproxParams, ApproxResult};
-pub use cutquery::{BatchOutcome, CutQuery};
+pub use cutquery::CutQuery;
 pub use engine::{GraphContext, TreeContext};
 pub use exact::{
     exact_mincut, exact_mincut_deadline, exact_mincut_deadline_in, exact_mincut_in,

@@ -15,9 +15,6 @@
 //! * [`sort`]: a parallel LSD radix sort (the paper's sorting primitive,
 //!   \[Ble96\]), kept as a timed kernel: the solver's symmetric join
 //!   sorts with one comparison sort instead;
-//! * [`scratch`]: reusable scratch workspaces ([`Scratch`] through the
-//!   per-thread [`with_scratch`] pool) behind the allocation-free
-//!   steady-state query path;
 //! * [`union_find`]: sequential and lock-free concurrent union-find;
 //! * [`spanning_forest`]: parallel spanning forests (the Halperin–Zwick
 //!   substitute used by Theorem 2.6's certificates);
@@ -28,11 +25,9 @@
 pub mod meter;
 pub mod mst;
 pub mod scan;
-pub mod scratch;
 pub mod sort;
 pub mod spanning_forest;
 pub mod union_find;
 
 pub use meter::{CostKind, CostReport, Meter};
-pub use scratch::{with_scratch, Scratch};
 pub use union_find::{ConcurrentUnionFind, UnionFind};

@@ -45,10 +45,10 @@ pub mod prelude {
         approx_mincut, approx_mincut_eps, approx_mincut_in, exact_mincut,
         exact_mincut_deadline, exact_mincut_in, exact_mincut_robust, mincut_small,
         mincut_small_in, naive_two_respecting, two_respecting_mincut,
-        two_respecting_mincut_in, ApproxParams, ApproxResult, BatchOutcome, ExactParams,
+        two_respecting_mincut_in, ApproxParams, ApproxResult, ExactParams,
         ExactResult, GraphContext, InterestStrategy, TreeContext, TwoRespectParams,
     };
     pub use pmc_fault::{Deadline, DegradeReason, FaultPlan, PmcError, SolveQuality};
-    pub use pmc_parallel::{with_scratch, CostKind, CostReport, Meter, Scratch};
+    pub use pmc_parallel::{CostKind, CostReport, Meter};
     pub use pmc_tree::{LcaEngine, LcaStrategy};
 }

@@ -43,19 +43,16 @@ const ALL_POINTS: &[&str] = &[
     "engine:phase2_skeleton",
     "engine:phase3_certificate",
     "engine:phase4_packing",
-    "engine:cov_batch",
     "engine:cut_batch",
 ];
 
 /// Deadline-consulting points: `exhaust` ops here exercise cooperative
-/// cancellation at every phase boundary and batch facade.
+/// cancellation at every phase boundary.
 const BUDGET_POINTS: &[&str] = &[
     "engine:phase1_approx",
     "engine:phase2_skeleton",
     "engine:phase3_certificate",
     "engine:phase4_packing",
-    "engine:cov_batch",
-    "engine:cut_batch",
 ];
 
 fn plan_count() -> u64 {

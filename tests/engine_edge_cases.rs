@@ -39,37 +39,10 @@ fn empty_batches_are_empty_and_exact() {
     let g = generators::path(8, 5);
     let meter = Meter::disabled();
     let tc = path_tree_context(&g, &TwoRespectParams::default(), &meter);
-    assert!(tc.cov_batch(&[]).is_empty());
-    assert!(tc.cut_batch(&[], &meter).is_empty());
-    let outcome = tc.cut_batch_until(&[], &Deadline::never(), &meter);
-    assert!(outcome.values.is_empty());
-    assert_eq!(outcome.completed, 0);
-    assert!(outcome.quality.is_exact(), "an empty batch completes by definition");
-}
-
-#[test]
-fn cut_batch_until_respects_the_deadline() {
-    let g = generators::path(8, 5);
-    let meter = Meter::disabled();
-    let tc = path_tree_context(&g, &TwoRespectParams::default(), &meter);
-    let pairs: Vec<(u32, u32)> =
-        (1..8u32).flat_map(|e| (1..8u32).map(move |f| (e, f))).collect();
-    // Live deadline: the full batch completes and matches cut_batch.
-    let full = tc.cut_batch_until(&pairs, &Deadline::never(), &meter);
-    assert_eq!(full.completed, pairs.len());
-    assert!(full.quality.is_exact());
-    assert_eq!(full.values, tc.cut_batch(&pairs, &meter));
-    // Expired deadline: a flagged empty prefix, not a hang or a panic.
-    let expired = tc.cut_batch_until(&pairs, &Deadline::ticks(0), &meter);
-    assert_eq!(expired.completed, 0);
-    assert!(expired.values.is_empty());
-    assert!(expired.quality.is_degraded(), "partial batch must be flagged");
-    // Cancellation behaves like expiry.
-    let cancelled = Deadline::never();
-    cancelled.cancel();
-    let c = tc.cut_batch_until(&pairs, &cancelled, &meter);
-    assert_eq!(c.completed, 0);
-    assert!(c.quality.is_degraded());
+    // A stale buffer is cleared, not appended to.
+    let mut out = vec![1, 2, 3];
+    tc.cut_batch_into(&[], &mut out, &meter);
+    assert!(out.is_empty());
 }
 
 #[test]

@@ -68,7 +68,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let small = graph_from(n, extra, 1000, seed);
-        let limit = pmc_graph::io::TOTAL_WEIGHT_LIMIT as u128;
+        let limit = pmc_graph::TOTAL_WEIGHT_LIMIT as u128;
         let total = small.total_weight() as u128;
         let edges = small.edges().iter().map(|e| {
             (e.u, e.v, (e.w as u128 * (limit - 1) / total) as u64)

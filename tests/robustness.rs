@@ -81,6 +81,36 @@ fn extreme_weights_no_overflow() {
     assert_eq!(r.cut.value, 7);
 }
 
+/// A triangle of total weight 1.5·2^63 fits in `u64` but not in the
+/// solver's weight domain: construction refuses it, naming the limit,
+/// instead of a later `i64` coverage pass panicking mid-solve.
+#[test]
+#[should_panic(expected = "TOTAL_WEIGHT_LIMIT")]
+fn graphs_at_the_weight_limit_are_refused_at_construction() {
+    let w = 1u64 << 62;
+    let _ = Graph::from_edges(3, [(0, 1, w), (1, 2, w), (0, 2, w)]);
+}
+
+/// A total weight of `TOTAL_WEIGHT_LIMIT - 1`, the largest accepted,
+/// solves to Stoer–Wagner's value on a triangle and on a random graph.
+#[test]
+fn largest_accepted_total_weight_solves_exactly() {
+    let top = pmc_graph::TOTAL_WEIGHT_LIMIT - 1;
+    let triangle = Graph::from_edges(3, [(0, 1, 1 << 61), (1, 2, 1 << 60), (0, 2, (1 << 60) - 1)]);
+    let mut rng = StdRng::seed_from_u64(7005);
+    let small = generators::gnm_connected(14, 40, 9, &mut rng);
+    let scale = top / small.total_weight();
+    let mut edges: Vec<(u32, u32, u64)> =
+        small.edges().iter().map(|e| (e.u, e.v, e.w * scale)).collect();
+    edges[0].2 += top - scale * small.total_weight();
+    let scaled = Graph::from_edges(14, edges);
+    for g in [triangle, scaled] {
+        assert_eq!(g.total_weight(), top);
+        let expect = stoer_wagner_mincut(&g).value;
+        assert_eq!(exact_mincut(&g, &ExactParams::default()).cut.value, expect);
+    }
+}
+
 #[test]
 fn weight_one_unweighted_graphs() {
     let mut rng = StdRng::seed_from_u64(7004);

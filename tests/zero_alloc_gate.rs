@@ -1,6 +1,6 @@
 //! The zero-allocation gate as an integration test: with the counting
 //! allocator installed for this whole test binary, the steady-state
-//! batched query path (`cut_batch_into` / `cov_batch_into` on a warm
+//! batched query path (`cut_batch_into` into a warm buffer on a
 //! `TreeContext`) must perform exactly zero heap allocations
 //! (DESIGN.md §13). The gate runs once per cut-query grid: a graph
 //! with `n² > 16·m` answers rectangles from the range tree, a denser
@@ -50,50 +50,45 @@ fn gate(density: f64, on_table: bool) {
     assert_eq!(height == 1, on_table, "density {density}: grid height {height}");
 
     let mut rng = StdRng::seed_from_u64(9);
-    // Many duplicates: the grouping sort and the scatter are exercised.
+    // Hot duplicates mixed with uniform pairs, as a serving load sends.
     let hot: Vec<(u32, u32)> = (0..64)
         .map(|_| (rng.random_range(1..n as u32), rng.random_range(1..n as u32)))
         .collect();
-    let pairs: Vec<(u32, u32)> =
-        (0..2_000).map(|_| hot[rng.random_range(0..hot.len())]).collect();
-    let es: Vec<u32> = (0..2_000).map(|_| rng.random_range(1..n as u32)).collect();
+    let pairs: Vec<(u32, u32)> = (0..2_000)
+        .map(|i| {
+            if i % 2 == 0 {
+                hot[rng.random_range(0..hot.len())]
+            } else {
+                (rng.random_range(1..n as u32), rng.random_range(1..n as u32))
+            }
+        })
+        .collect();
 
     let workers = rayon::pool_diagnostics().workers_live;
     assert_eq!(workers, 0, "a pool worker could allocate while a batch is measured");
 
-    // Warm-up sizes every scratch buffer (and must visibly allocate —
+    // Warm-up sizes the output buffer (and must visibly allocate —
     // otherwise the allocator isn't counting and the gate is vacuous).
     let mut cut_out: Vec<u64> = Vec::new();
-    let mut cov_out: Vec<u64> = Vec::new();
-    let (_, warm) = alloc_meter::measure(|| {
-        ctx.cut_batch_into(&pairs, &mut cut_out, &meter);
-        ctx.cov_batch_into(&es, &mut cov_out);
-    });
+    let (_, warm) = alloc_meter::measure(|| ctx.cut_batch_into(&pairs, &mut cut_out, &meter));
     assert!(warm.allocs > 0, "density {density}: counting allocator not engaged");
     let expect_cut = cut_out.clone();
-    let expect_cov = cov_out.clone();
 
-    // Steady state: repeated batches reuse every warm buffer.
+    // Steady state: repeated batches reuse the warm buffer.
     for round in 0..5 {
         let (_, cut_gauge) =
             alloc_meter::measure(|| ctx.cut_batch_into(&pairs, &mut cut_out, &meter));
-        let (_, cov_gauge) = alloc_meter::measure(|| ctx.cov_batch_into(&es, &mut cov_out));
         assert_eq!(
             (cut_gauge.allocs, cut_gauge.peak_growth_bytes),
             (0, 0),
             "density {density} round {round}: cut_batch_into allocated"
         );
-        assert_eq!(
-            (cov_gauge.allocs, cov_gauge.peak_growth_bytes),
-            (0, 0),
-            "density {density} round {round}: cov_batch_into allocated"
-        );
         assert_eq!(cut_out, expect_cut, "density {density} round {round}: values drifted");
-        assert_eq!(cov_out, expect_cov, "density {density} round {round}: values drifted");
     }
 
     // The values the zero-alloc path produced are the real ones.
+    let q = ctx.cut_query();
     for (i, &(e, f)) in pairs.iter().enumerate().step_by(97) {
-        assert_eq!(expect_cut[i], ctx.cut(e, f, &meter), "density {density} pair ({e},{f})");
+        assert_eq!(expect_cut[i], q.cut(e, f, &meter), "density {density} pair ({e},{f})");
     }
 }
