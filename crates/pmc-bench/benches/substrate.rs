@@ -1,9 +1,11 @@
 //! Criterion benches for the substrate layers: tree decompositions
-//! (Lemma 4.4/4.12), LCA engines, spanning forests and the
-//! certificate construction (Theorem 2.6).
+//! (Lemma 4.4/4.12), LCA engines, spanning forests, the certificate
+//! construction (Theorem 2.6) and greedy tree packing (Theorem 4.18).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pmc_bench::workloads;
+use pmc_graph::generators;
+use pmc_mincut::{greedy_tree_packing, PackingParams};
 use pmc_parallel::spanning_forest::spanning_forest;
 use pmc_parallel::Meter;
 use pmc_sparsify::k_certificate;
@@ -92,5 +94,36 @@ fn bench_forest(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_decompositions, bench_lca, bench_certificates, bench_forest);
+/// Greedy tree packing (Theorem 4.18) on dense and sparse inputs, at
+/// the default iteration count.
+fn bench_packing(c: &mut Criterion) {
+    let mut group = c.benchmark_group("greedy_tree_packing");
+    group.sample_size(10);
+    let graphs = [
+        // perfbench's `nearclique-150` graph.
+        ("nearclique-150", generators::near_clique(150, 0.15, 48, &mut StdRng::seed_from_u64(1))),
+        ("nearclique-400", workloads::near_clique(400, 1).graph),
+        (
+            "planted-400",
+            generators::planted_bisection(400, 20_000, 150, 200, 40, &mut StdRng::seed_from_u64(1)),
+        ),
+        ("powerlaw-800", workloads::power_law(800, 1).graph.coalesced()),
+    ];
+    let params = PackingParams::default();
+    for (name, g) in &graphs {
+        group.bench_with_input(BenchmarkId::from_parameter(name), g, |b, g| {
+            b.iter(|| black_box(greedy_tree_packing(g, &params, &Meter::disabled())))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_decompositions,
+    bench_lca,
+    bench_certificates,
+    bench_forest,
+    bench_packing
+);
 criterion_main!(benches);

@@ -10,8 +10,11 @@
 //!
 //! The MST subroutine is Kruskal over an edge order kept sorted across
 //! iterations (substituting Pettie–Ramachandran, DESIGN.md §4): each
-//! iteration re-keys only its n − 1 tree edges and merges them back in
-//! O(m). It is sequential.
+//! iteration re-keys only its n − 1 tree edges and merges them into a
+//! small sorted side buffer that the next scan reads alongside the main
+//! order, so an iteration costs the entries it scans plus the buffer,
+//! not m. The buffer is folded into the main order once it holds more
+//! than m/8 edges. It is sequential.
 
 use pmc_graph::Graph;
 use pmc_parallel::meter::{CostKind, Meter};
@@ -19,15 +22,15 @@ use pmc_parallel::union_find::UnionFind;
 use std::collections::HashSet;
 
 /// Load order `uses(e)/w(e)` as the fixed-point key `(uses << 32) / w`:
-/// exact for ratio gaps above 2^-32 (uses is bounded by the iteration
-/// count, weights by the certificate cap), with (weight, index)
-/// tie-breaks making it a strict total order, so the packing is
-/// deterministic.
-type LoadKey = (u128, u64, u32);
+/// exact for ratio gaps above 2^-32, with (weight, index) tie-breaks
+/// making it a strict total order, so the packing is deterministic.
+/// `uses` never exceeds the iteration count, which
+/// [`greedy_tree_packing`] keeps below 2^32, so the shift fits a `u64`.
+type LoadKey = (u64, u64, u32);
 
 fn load_key(h: &Graph, uses: &[u64], i: usize) -> LoadKey {
     let w = h.edge(i).w;
-    (((uses[i] as u128) << 32) / w.max(1) as u128, w, i as u32)
+    ((uses[i] << 32) / w.max(1), w, i as u32)
 }
 
 /// Packing parameters.
@@ -80,9 +83,12 @@ impl PackingParams {
 ///
 /// Each iteration computes the MST of `h` under the load order
 /// `uses(e)/w(e)` (ties by static weight, then index) and increments the
-/// loads of the chosen edges. Charges `m` [`CostKind::MstEdge`] per
-/// iteration: the merge that repairs the order, which also bounds the
-/// Kruskal scan.
+/// loads of the chosen edges. Charges one [`CostKind::MstEdge`] per
+/// order entry touched: read by a Kruskal scan (stale ones included),
+/// or by a merge into the side buffer or back into the main order.
+///
+/// Panics if the iteration count reaches 2^32, before allocating.
+///
 /// # Example
 ///
 /// ```
@@ -101,41 +107,69 @@ pub fn greedy_tree_packing(
 ) -> Vec<Vec<(u32, u32)>> {
     assert!(h.n() >= 2, "packing needs at least one edge");
     let iterations = params.iterations(h.n());
+    assert!(
+        u32::try_from(iterations).is_ok(),
+        "{iterations} packing iterations: the load key needs at most 2^32 - 1"
+    );
     meter.record_depth("packing:iterations", iterations as u64);
     let sequence = pst_sequence(h, iterations, meter);
     select_trees(h, params, &sequence)
 }
+
+/// Fold the side buffer into the order past m/8 entries (m/16 timed within 6%, m/4 21% slower).
+const COMPACT_SHARE: usize = 8;
 
 /// The tree (ascending edge indices) chosen at each of `iterations` PST
 /// iterations: the packing with multiplicities.
 fn pst_sequence(h: &Graph, iterations: usize, meter: &Meter) -> Vec<Vec<u32>> {
     let (n, m) = (h.n(), h.m());
     let mut uses: Vec<u64> = vec![0; m];
-    // Every edge's key, sorted. The key ends in the edge index, so the
-    // order names the edges. An iteration re-keys only its n − 1 tree
-    // edges, so the order is repaired by one merge, not re-sorted.
+    // Every edge's key as of the last compaction, sorted. The key ends
+    // in the edge index, so the order names the edges.
     let mut order: Vec<LoadKey> = (0..m).map(|i| load_key(h, &uses, i)).collect();
     order.sort_unstable();
-    let mut merged: Vec<LoadKey> = Vec::with_capacity(m);
+    // The current keys of the edges re-keyed since then, sorted; their
+    // entries in `order` are stale.
+    let mut side: Vec<LoadKey> = Vec::new();
+    let mut in_side = vec![false; m];
     let mut moved: Vec<LoadKey> = Vec::with_capacity(n - 1);
     let mut in_tree = vec![false; m];
     let mut uf = UnionFind::new(n);
     let mut sequence = Vec::with_capacity(iterations);
+    let mut touched = 0usize;
     for _ in 0..iterations {
-        // Kruskal: the key is a strict total order, so this is the
-        // unique MSF under the current loads. Its edges are re-keyed
-        // as they are chosen; the scan reads only the old order.
+        // Kruskal over `order` and `side` read as one merged stream: the
+        // key is a strict total order, so this is the unique MSF under
+        // the current loads. Its edges are re-keyed as they are chosen;
+        // the scan reads only the old keys.
         uf.reset(n);
         moved.clear();
-        for &(_, _, i) in &order {
-            let e = h.edge(i as usize);
-            if uf.union(e.u, e.v) {
-                uses[i as usize] += 1;
-                in_tree[i as usize] = true;
-                moved.push(load_key(h, &uses, i as usize));
-                if moved.len() == n - 1 {
-                    break;
+        let (mut a, mut b) = (0, 0);
+        while moved.len() < n - 1 {
+            let k = match (order.get(a), side.get(b)) {
+                (Some(&x), Some(&y)) if y < x => {
+                    b += 1;
+                    y
                 }
+                (Some(&x), _) => {
+                    a += 1;
+                    if in_side[x.2 as usize] {
+                        continue;
+                    }
+                    x
+                }
+                (None, Some(&y)) => {
+                    b += 1;
+                    y
+                }
+                (None, None) => break,
+            };
+            let i = k.2 as usize;
+            let e = h.edge(i);
+            if uf.union(e.u, e.v) {
+                uses[i] += 1;
+                in_tree[i] = true;
+                moved.push(load_key(h, &uses, i));
             }
         }
         assert_eq!(moved.len(), n - 1, "packing input must be connected");
@@ -143,24 +177,43 @@ fn pst_sequence(h: &Graph, iterations: usize, meter: &Meter) -> Vec<Vec<u32>> {
         forest.sort_unstable();
         sequence.push(forest);
         moved.sort_unstable();
-        // Merge the re-keyed edges back into the untouched, still sorted
-        // rest of the order in one O(m) pass.
-        meter.add(CostKind::MstEdge, m as u64);
-        merged.clear();
-        let mut next = moved.iter().copied().peekable();
-        for &k in order.iter().filter(|k| !in_tree[k.2 as usize]) {
-            while let Some(j) = next.next_if(|&j| j < k) {
-                merged.push(j);
-            }
-            merged.push(k);
-        }
-        merged.extend(next);
-        std::mem::swap(&mut order, &mut merged);
+        // Merge the re-keyed edges into `side`, dropping the entries they
+        // replace there.
+        touched += a + b + side.len() + moved.len();
+        side.retain(|k| !in_tree[k.2 as usize]);
+        merge_from_back(&mut side, &moved);
         for k in &moved {
             in_tree[k.2 as usize] = false;
+            in_side[k.2 as usize] = true;
+        }
+        if side.len() * COMPACT_SHARE > m {
+            touched += m + side.len();
+            order.retain(|k| !in_side[k.2 as usize]);
+            merge_from_back(&mut order, &side);
+            for k in side.drain(..) {
+                in_side[k.2 as usize] = false;
+            }
         }
     }
+    meter.add(CostKind::MstEdge, touched as u64);
     sequence
+}
+
+/// Merge sorted `extra` into sorted `base` in place, from the back: the
+/// prefix of `base` below `extra`'s first entry is not moved.
+fn merge_from_back(base: &mut Vec<LoadKey>, extra: &[LoadKey]) {
+    let mut read = base.len();
+    base.extend_from_slice(extra);
+    let mut write = base.len();
+    for &k in extra.iter().rev() {
+        while read > 0 && base[read - 1] > k {
+            read -= 1;
+            write -= 1;
+            base[write] = base[read];
+        }
+        write -= 1;
+        base[write] = k;
+    }
 }
 
 /// The distinct trees handed to the cut-finding stage, as edge-endpoint
@@ -199,7 +252,7 @@ mod tests {
     use pmc_graph::generators;
     use pmc_parallel::mst::kruskal_msf_by;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn is_spanning_tree(n: usize, edges: &[(u32, u32)]) -> bool {
         if edges.len() != n - 1 {
@@ -209,12 +262,16 @@ mod tests {
         edges.iter().all(|&(u, v)| uf.union(u, v))
     }
 
-    /// The PST sequence with a from-scratch Kruskal per iteration.
+    /// The PST sequence with a from-scratch Kruskal per iteration, on the
+    /// load key computed in `u128`, where the shift cannot overflow.
     fn reference_sequence(h: &Graph, iterations: usize) -> Vec<Vec<u32>> {
-        let mut uses = vec![0; h.m()];
+        let mut uses = vec![0u64; h.m()];
         (0..iterations)
             .map(|_| {
-                let forest = kruskal_msf_by(h, |i| load_key(h, &uses, i));
+                let forest = kruskal_msf_by(h, |i| {
+                    let w = h.edge(i).w;
+                    (((uses[i] as u128) << 32) / w.max(1) as u128, w, i as u32)
+                });
                 for &i in &forest {
                     uses[i as usize] += 1;
                 }
@@ -252,12 +309,62 @@ mod tests {
     }
 
     #[test]
-    fn meter_records_mst_work() {
-        let g = generators::complete(16, 1);
+    fn side_buffer_matches_exact_reference() {
+        let mut rng = StdRng::seed_from_u64(504);
+        // Weights above 2^32: the first key component is 0 until an edge's
+        // uses outgrow w / 2^32, so the weight tie-break decides.
+        let wide = {
+            let g = generators::gnm_connected(40, 200, 1, &mut rng);
+            let edges: Vec<(u32, u32, u64)> = g
+                .edges()
+                .iter()
+                .map(|e| (e.u, e.v, (1 << 33) + rng.random_range(0..1u64 << 40)))
+                .collect();
+            Graph::from_edges(40, edges)
+        };
+        assert!(wide.edges().iter().map(|e| e.w).sum::<u64>() < pmc_graph::TOTAL_WEIGHT_LIMIT);
         let params = PackingParams::default();
-        let meter = Meter::enabled();
-        greedy_tree_packing(&g, &params, &meter);
-        assert_eq!(meter.get(CostKind::MstEdge), (params.iterations(16) * g.m()) as u64);
+        for (g, iterations) in [
+            (wide, params.iterations(40)),
+            // All keys tie until the edge index.
+            (generators::complete(40, 1), params.iterations(40)),
+            // Dense and long: `side` compacts many times, and edges chosen
+            // again before a compaction replace their own `side` entries.
+            (generators::near_clique(40, 0.2, 30, &mut rng), 10 * params.iterations(40)),
+        ] {
+            assert_eq!(
+                pst_sequence(&g, iterations, &Meter::disabled()),
+                reference_sequence(&g, iterations)
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "packing iterations")]
+    fn iterations_beyond_the_key_range_are_refused() {
+        let many = u32::MAX as usize + 1;
+        let params = PackingParams {
+            min_iterations: many,
+            max_iterations: many,
+            ..PackingParams::default()
+        };
+        greedy_tree_packing(&generators::cycle(8, 1), &params, &Meter::disabled());
+    }
+
+    #[test]
+    fn meter_records_mst_work() {
+        let g = generators::near_clique(150, 0.15, 48, &mut StdRng::seed_from_u64(1));
+        let params = PackingParams::default();
+        let charge = || {
+            let meter = Meter::enabled();
+            greedy_tree_packing(&g, &params, &meter);
+            meter.get(CostKind::MstEdge)
+        };
+        let charged = charge();
+        assert_eq!(charged, charge());
+        let iterations = params.iterations(g.n()) as u64;
+        assert!(charged >= iterations * (g.n() as u64 - 1));
+        assert!(charged < iterations * g.m() as u64 / 2);
     }
 
     #[test]

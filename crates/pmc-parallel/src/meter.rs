@@ -31,8 +31,9 @@ pub enum CostKind {
     MongeEntry,
     /// One edge touched by a spanning-forest computation (Thm 2.6).
     ForestEdge,
-    /// One edge position in the packing's maintained MST order, per
-    /// iteration (§4.2 packing).
+    /// One entry of the packing's maintained MST order touched (§4.2
+    /// packing): read by a Kruskal scan, stale entries included, or by a
+    /// merge into the side buffer or back into the main order.
     MstEdge,
     /// One random sample drawn (binomial/skeleton sampling, §2.4.1).
     Sample,

@@ -5,7 +5,8 @@
 //! property the fault plane exists to guarantee: a solve under injected
 //! faults returns the correct value, a typed error, or a *flagged*
 //! degraded answer that is still a genuine cut — never a hang, an
-//! abort, or an unflagged wrong answer.
+//! abort, or an unflagged wrong answer. One test instead sweeps the
+//! plans through a served cut batch, which must not change under them.
 //!
 //! Any failing plan's `fp1;…` fixture string is printed in the assert
 //! message; add it to `REGRESSION_FIXTURES` below to pin the replay.
@@ -23,6 +24,7 @@ use parallel_mincut::prelude::*;
 use pmc_fault::{Deadline, DegradeReason, FaultPlan, FaultScope, InjectedPanic, SolveQuality};
 use pmc_graph::generators;
 use pmc_mincut::exact_mincut_robust;
+use pmc_parallel::spanning_forest::spanning_forest;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -249,6 +251,46 @@ fn worker_panics_are_quarantined_and_solves_stay_exact() {
         .expect("post-storm solve");
     assert!(r.quality.is_exact());
     assert_eq!(r.cut.value, expect);
+}
+
+#[test]
+fn cut_batches_under_arbitrary_plans_match_the_fault_free_batch() {
+    let (g, _) = chaos_graph(47);
+    let n = g.n() as u32;
+    let pairs: Vec<(u32, u32)> = (1..n).flat_map(|e| (1..n).map(move |f| (e, f))).collect();
+    let meter = Meter::disabled();
+    // Contexts and the fault-free batch come from a control scope; only
+    // the batches below run under generated plans.
+    let control = FaultPlan::empty();
+    let scope = FaultScope::activate(&control);
+    let gc = GraphContext::build(&g, &meter);
+    let tree: Vec<(u32, u32)> = spanning_forest(gc.graph(), &meter)
+        .iter()
+        .map(|&i| {
+            let e = gc.graph().edge(i as usize);
+            (e.u, e.v)
+        })
+        .collect();
+    let tc = TreeContext::from_edges(gc.graph(), &tree, 0, &TwoRespectParams::default(), &meter);
+    let mut expect = Vec::new();
+    tc.cut_batch_into(&pairs, &mut expect, &meter);
+    drop(scope);
+    let mut out = expect.clone();
+    let mut drawn = 0;
+    for seed in 0..plan_count() {
+        let plan = FaultPlan::generate(seed, ALL_POINTS);
+        let fixture = plan.encode();
+        drawn += usize::from(fixture.contains("engine:cut_batch"));
+        let deadline = Deadline::never();
+        let scope = FaultScope::activate_with_deadline(&plan, &deadline);
+        // Ops fire on hits 1–4 of their point.
+        for round in 1..=4 {
+            tc.cut_batch_into(&pairs, &mut out, &meter);
+            assert_eq!(out, expect, "plan {fixture}: batch {round} is not the fault-free one");
+        }
+        drop(scope);
+    }
+    assert!(drawn > 0, "no plan drew engine:cut_batch");
 }
 
 /// Fixture strings pinned from sweeps: each must replay bit-identically
