@@ -164,7 +164,7 @@ pub fn run_eps_sweep(n: usize, eps_values: &[f64], seed: u64) -> Table {
         let (g, tree_edges) = workloads::graph_with_tree(n, density, seed);
         let tree = std::sync::Arc::new(RootedTree::from_edge_list(g.n(), &tree_edges, 0));
         let oracle = naive_two_respecting(&g, &tree, 0.25, &Meter::disabled()).cut.value;
-        let lca = pmc_tree::LcaTable::build(&tree);
+        let lca = pmc_tree::LcaEngine::build(&tree, LcaStrategy::Lifting, &Meter::disabled());
         let q = pmc_mincut::CutQuery::build(&g, &tree, &lca, 0.25, &Meter::disabled());
         let points: Vec<Point2> = g
             .edges()

@@ -38,6 +38,10 @@ pub enum ParseError {
     /// The running total edge weight reached [`TOTAL_WEIGHT_LIMIT`] at
     /// this line.
     WeightTooLarge { line_no: usize },
+    /// The header's vertex count is `>= u32::MAX`: vertex ids are
+    /// `u32`, and `u32::MAX` is the tree arrays' "none" sentinel, so
+    /// the builder asserts below it. Rejected here with context.
+    TooManyVertices { line_no: usize, n: usize },
 }
 
 impl std::fmt::Display for ParseError {
@@ -61,6 +65,9 @@ impl std::fmt::Display for ParseError {
             }
             ParseError::WeightTooLarge { line_no } => {
                 write!(f, "line {line_no}: total edge weight reaches 2^62, beyond the solver's range")
+            }
+            ParseError::TooManyVertices { line_no, n } => {
+                write!(f, "line {line_no}: {n} vertices, beyond the u32 vertex-id range")
             }
         }
     }
@@ -114,6 +121,9 @@ pub fn parse_graph(text: &str) -> Result<Graph, ParseError> {
                     .next()
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| ParseError::BadLine { line_no, reason: "bad m".into() })?;
+                if n >= u32::MAX as usize {
+                    return Err(ParseError::TooManyVertices { line_no, n });
+                }
                 declared_n = n;
                 builder = Some(GraphBuilder::new(n));
             }
@@ -250,6 +260,15 @@ mod tests {
         assert_eq!(parse_graph(&at).unwrap_err(), ParseError::WeightTooLarge { line_no: 3 });
         let huge = format!("p 3 2\ne 0 1 {}\ne 1 2 {}\n", u64::MAX, u64::MAX);
         assert_eq!(parse_graph(&huge).unwrap_err(), ParseError::WeightTooLarge { line_no: 2 });
+    }
+
+    #[test]
+    fn vertex_count_beyond_u32_rejected_not_panicking() {
+        for n in [u32::MAX as usize, 1usize << 32] {
+            let err = parse_graph(&format!("c big\np {n} 1\ne 0 1 1\n")).unwrap_err();
+            assert_eq!(err, ParseError::TooManyVertices { line_no: 2, n });
+            assert!(err.to_string().contains(&n.to_string()), "{err}");
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@
 use pmc_graph::Graph;
 use pmc_parallel::meter::{CostKind, Meter};
 use pmc_range::{Point2, RangeTree2D};
-use pmc_tree::{LcaOracle, RootedTree};
+use pmc_tree::{LcaEngine, RootedTree};
 use std::sync::Arc;
 
 /// The grid answers rectangles from a dense prefix table when
@@ -148,15 +148,15 @@ impl<'a> CutQuery<'a> {
     /// only the LCA difference trick — so they fork under `rayon::join`
     /// (DESIGN.md §8).
     ///
-    /// Generic over the LCA substrate: the coverage pass issues one LCA
-    /// query *per graph edge* — the single largest LCA volume in the
-    /// solver — so it goes through [`LcaOracle::lca_metered`] and the
+    /// The coverage pass issues one LCA query *per graph edge* — the
+    /// single largest LCA volume in the solver — so it goes through
+    /// [`LcaEngine::lca_metered`] and the
     /// [`pmc_parallel::meter::CostKind::LcaStep`] gauge records whether
     /// those `m` queries cost `O(1)` or `O(log n)` probes each.
-    pub fn build<L: LcaOracle>(
+    pub fn build(
         g: &'a Graph,
         tree: &Arc<RootedTree>,
-        lca: &L,
+        lca: &LcaEngine,
         eps: f64,
         meter: &Meter,
     ) -> Self {
@@ -326,7 +326,7 @@ mod tests {
     use pmc_graph::graph::cut_of_partition;
     use pmc_graph::{generators, Graph};
     use pmc_parallel::spanning_forest::spanning_forest;
-    use pmc_tree::{LcaEngine, LcaStrategy, LcaTable};
+    use pmc_tree::LcaStrategy;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -335,6 +335,10 @@ mod tests {
         let edges: Vec<(u32, u32)> =
             forest.iter().map(|&i| (g.edge(i as usize).u, g.edge(i as usize).v)).collect();
         Arc::new(RootedTree::from_edge_list(g.n(), &edges, root))
+    }
+
+    fn lifting(t: &RootedTree) -> LcaEngine {
+        LcaEngine::build(t, LcaStrategy::Lifting, &Meter::disabled())
     }
 
     /// Brute-force cov(e): edges with exactly one endpoint below v.
@@ -368,7 +372,7 @@ mod tests {
         for trial in 0..10 {
             let g = generators::gnm_connected(30, 60, 9, &mut rng);
             let t = spanning_tree_of(&g, trial % 30);
-            let lca = LcaTable::build(&t);
+            let lca = lifting(&t);
             let q = CutQuery::build(&g, &t, &lca, 0.3, &Meter::disabled());
             for v in 0..30u32 {
                 if v == t.root() {
@@ -405,7 +409,7 @@ mod tests {
         for trial in 0..6 {
             let g = generators::gnm_connected(18, 40, 7, &mut rng);
             let t = spanning_tree_of(&g, 0);
-            let lca = LcaTable::build(&t);
+            let lca = lifting(&t);
             let q = CutQuery::build(&g, &t, &lca, 0.5, &Meter::disabled());
             let m = Meter::disabled();
             for e in 1..18u32 {
@@ -428,7 +432,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(103);
         let g = generators::gnm_connected(25, 70, 5, &mut rng);
         let t = spanning_tree_of(&g, 0);
-        let lca = LcaTable::build(&t);
+        let lca = lifting(&t);
         let q = CutQuery::build(&g, &t, &lca, 0.4, &Meter::disabled());
         let m = Meter::disabled();
         for e in 1..25u32 {
@@ -443,7 +447,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(104);
         let g = generators::gnm_connected(16, 35, 6, &mut rng);
         let t = spanning_tree_of(&g, 0);
-        let lca = LcaTable::build(&t);
+        let lca = lifting(&t);
         let q = CutQuery::build(&g, &t, &lca, 0.5, &Meter::disabled());
         let m = Meter::disabled();
         for e in 1..16u32 {
@@ -471,7 +475,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(105);
         let g = generators::gnm_connected(20, 50, 4, &mut rng);
         let t = spanning_tree_of(&g, 0);
-        let lca = LcaTable::build(&t);
+        let lca = lifting(&t);
         let q = CutQuery::build(&g, &t, &lca, 0.5, &Meter::disabled());
         for v in 1..20u32 {
             // cut(e, e) degenerates to the 1-respecting cut.
@@ -489,7 +493,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(106);
         let g = generators::gnm_connected(60, 90, 8, &mut rng);
         let t = spanning_tree_of(&g, 0);
-        let lca = LcaTable::build(&t);
+        let lca = lifting(&t);
         let m = Meter::disabled();
         let q1 = CutQuery::build(&g, &t, &lca, 0.12, &m);
         let q2 = CutQuery::build(&g, &t, &lca, 0.9, &m);
@@ -522,7 +526,7 @@ mod tests {
             // A spanning-forest tree and a path tree (every pair nested).
             let path: Vec<u32> = (0..n).map(|v| v.saturating_sub(1)).collect();
             for t in [spanning_tree_of(&g, n / 2), Arc::new(RootedTree::from_parents(0, &path))] {
-                let lca = LcaTable::build(&t);
+                let lca = lifting(&t);
                 let q = CutQuery::build(&g, &t, &lca, 0.5, &Meter::disabled());
                 assert_eq!(q.range_height() == 1, on_table, "{name}: height {}", q.range_height());
                 let m = Meter::disabled();
@@ -544,7 +548,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(110);
         let g = generators::near_clique(40, 0.2, 50, &mut rng);
         let t = spanning_tree_of(&g, 7);
-        let lca = LcaTable::build(&t);
+        let lca = lifting(&t);
         let build = Meter::enabled();
         let q = CutQuery::build(&g, &t, &lca, 0.5, &build);
         assert_eq!(q.range_height(), 1, "a near-clique takes the table");
@@ -595,7 +599,7 @@ mod tests {
         assert_eq!(g.edges().iter().map(|e| e.w).sum::<u64>(), total);
         let path: Vec<u32> = (0..n).map(|v| v.saturating_sub(1)).collect();
         for t in [spanning_tree_of(&g, 4), Arc::new(RootedTree::from_parents(0, &path))] {
-            let lca = LcaTable::build(&t);
+            let lca = lifting(&t);
             let q = CutQuery::build(&g, &t, &lca, 0.5, &Meter::disabled());
             assert_eq!(q.range_height(), 1, "a complete graph takes the table");
             let m = Meter::disabled();
@@ -615,7 +619,7 @@ mod tests {
         let g = generators::path(10, 5);
         let parent: Vec<u32> = (0..10u32).map(|v| v.saturating_sub(1)).collect();
         let t = Arc::new(RootedTree::from_parents(0, &parent));
-        let lca = LcaTable::build(&t);
+        let lca = lifting(&t);
         let q = CutQuery::build(&g, &t, &lca, 0.5, &Meter::disabled());
         let m = Meter::disabled();
         for e in 1..10u32 {
@@ -675,7 +679,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(107);
         let g = generators::gnm_connected(12, 25, 3, &mut rng);
         let t = spanning_tree_of(&g, 0);
-        let lca = LcaTable::build(&t);
+        let lca = lifting(&t);
         let q = CutQuery::build(&g, &t, &lca, 0.5, &Meter::disabled());
         let meter = Meter::enabled();
         let _ = q.cut(1, 2, &meter);

@@ -16,9 +16,10 @@
 //! an *up-arm* climbing from `e` that turns downward at most once
 //! (ending at `ce`) — the paper's `de` and `ce` nodes.
 //!
-//! Both arms are traced by a pluggable [`DecompositionStrategy`]:
+//! Both arms are traced by the [`InterestEngine`] that
+//! [`InterestStrategy`] selects:
 //!
-//! * [`CentroidDescent`] (the default, the paper's Claim 4.13): walk
+//! * [`InterestEngine::Centroid`] (the default, the paper's Claim 4.13): walk
 //!   down the centroid tree maintaining the invariant that the current
 //!   centroid component contains the arm endpoint. Routing toward a
 //!   component is an `O(1)` structural lookup
@@ -27,8 +28,8 @@
 //!   queries on bounded-degree trees (`O(log n · log Δ)` in general,
 //!   from the child-locating binary searches at the `O(log n)`
 //!   centroids that land on the arm).
-//! * [`HeavyPathDescent`] (the retained fallback, DESIGN.md §2):
-//!   interest is monotone along any root-down chain, so the arm is
+//! * [`InterestEngine::HeavyPath`] (the retained fallback, DESIGN.md
+//!   §2): interest is monotone along any root-down chain, so the arm is
 //!   traced by (1) binary searching its extent along the current heavy
 //!   chain, and (2) locating the unique possible branching child by
 //!   binary search over the children's contiguous postorder intervals.
@@ -39,7 +40,7 @@
 
 use crate::cutquery::CutQuery;
 use pmc_parallel::meter::{CostKind, Meter};
-use pmc_tree::{CentroidDecomposition, LcaEngine};
+use pmc_tree::{CentroidDecomposition, LcaEngine, PathDecomposition, PathStrategy};
 
 /// Endpoints of the interesting path of one edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,7 +54,7 @@ pub struct Arms {
 }
 
 /// Which decomposition steers the interest search — the selector for
-/// the two [`DecompositionStrategy`] implementations.
+/// the two [`InterestEngine`] variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InterestStrategy {
     /// Heavy-path descent: `O(log² n)` cut queries per edge. The
@@ -65,265 +66,147 @@ pub enum InterestStrategy {
     Centroid,
 }
 
-impl InterestStrategy {
-    /// Stable display name (experiment tables, logs).
-    pub fn name(self) -> &'static str {
-        match self {
-            InterestStrategy::HeavyPath => "heavy-path",
-            InterestStrategy::Centroid => "centroid",
-        }
-    }
-}
-
-/// The arm-tracing engine of the interest search.
-///
-/// An implementation traces one arm of `Π(e)`: the maximal descending
-/// run of interesting edges starting below `start` (with at most one
-/// child branch of `start` masked by `exclude`). The two shipped
-/// implementations are [`HeavyPathDescent`] and [`CentroidDescent`];
-/// both rely only on the public query surface of [`InterestSearch`].
-pub trait DecompositionStrategy: Sync {
-    /// Deepest vertex of the arm of `e` descending from `start`
-    /// (`start` itself when the arm is empty). `exclude` masks one
-    /// child branch of `start` — the branch the up-arm arrived from.
-    fn descend(
-        &self,
-        search: &InterestSearch<'_>,
-        e: u32,
-        start: u32,
-        cov_e: u64,
-        exclude: Option<u32>,
-        meter: &Meter,
-    ) -> u32;
-
-    /// Stable display name (experiment tables, logs).
-    fn name(&self) -> &'static str;
-}
-
-/// Heavy-path descent (DESIGN.md §2): `O(log² n)` cut queries per arm.
-pub struct HeavyPathDescent {
-    /// Heavy chains flattened CSR-style: chain `c` is
-    /// `chain_nodes[chain_offsets[c]..chain_offsets[c + 1]]`, vertices
-    /// listed top to bottom (every vertex is on exactly one chain, so
-    /// the node arena has exactly `n` entries).
-    chain_nodes: Vec<u32>,
-    chain_offsets: Vec<u32>,
-    chain_of: Vec<u32>,
-    chain_pos: Vec<u32>,
-}
-
-impl HeavyPathDescent {
-    pub fn build(tree: &pmc_tree::RootedTree, meter: &Meter) -> Self {
-        let n = tree.n();
-        meter.add(CostKind::TreeOp, n as u64);
-        let mut chain_of = vec![u32::MAX; n];
-        let mut chain_pos = vec![u32::MAX; n];
-        let mut chain_nodes = Vec::with_capacity(n);
-        let mut chain_offsets = vec![0u32];
-        for v in 0..n as u32 {
-            let is_head = v == tree.root()
-                || tree.heavy_child(tree.parent(v)) != Some(v);
-            if !is_head {
-                continue;
-            }
-            let id = chain_offsets.len() as u32 - 1;
-            let start = chain_nodes.len();
-            chain_nodes.push(v);
-            let mut cur = v;
-            while let Some(h) = tree.heavy_child(cur) {
-                chain_nodes.push(h);
-                cur = h;
-            }
-            for (i, &x) in chain_nodes[start..].iter().enumerate() {
-                chain_of[x as usize] = id;
-                chain_pos[x as usize] = i as u32;
-            }
-            chain_offsets.push(chain_nodes.len() as u32);
-        }
-        HeavyPathDescent { chain_nodes, chain_offsets, chain_of, chain_pos }
-    }
-
-    /// One heavy chain as a slice of the flat node arena.
-    #[inline]
-    fn chain(&self, id: u32) -> &[u32] {
-        let lo = self.chain_offsets[id as usize] as usize;
-        let hi = self.chain_offsets[id as usize + 1] as usize;
-        &self.chain_nodes[lo..hi]
-    }
-}
-
-impl DecompositionStrategy for HeavyPathDescent {
-    /// Trace an arm downward from `start`: repeatedly (1) find the
-    /// unique interesting child branch (none -> stop), (2) binary
-    /// search the arm's extent along that child's heavy chain.
-    fn descend(
-        &self,
-        search: &InterestSearch<'_>,
-        e: u32,
-        start: u32,
-        cov_e: u64,
-        mut exclude: Option<u32>,
-        meter: &Meter,
-    ) -> u32 {
-        let mut v = start;
-        loop {
-            let Some(c) = search.interesting_child(e, v, cov_e, exclude, meter) else {
-                return v;
-            };
-            exclude = None;
-            // Binary search the deepest interesting edge on c's heavy
-            // chain (interest is monotone along the vertical chain).
-            let chain = self.chain(self.chain_of[c as usize]);
-            let k = self.chain_pos[c as usize] as usize;
-            let (mut lo, mut hi) = (k, chain.len() - 1);
-            while lo < hi {
-                let mid = (lo + hi).div_ceil(2);
-                if search.interesting(e, chain[mid], meter) {
-                    lo = mid;
-                } else {
-                    hi = mid - 1;
-                }
-            }
-            let x = chain[lo];
-            if x == v {
-                return v;
-            }
-            v = x;
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        InterestStrategy::HeavyPath.name()
-    }
-}
-
-/// Centroid descent (Claim 4.13): `O(log n)` cut queries per arm on
-/// bounded-degree trees.
-///
-/// The arm endpoint `t` is the deepest vertex of a root-down chain of
-/// vertices `v` with `t ∈ subtree(v)`, and that membership is decidable
-/// with at most one coverage query (`interesting(e, v)` when `v` lies
-/// strictly below the deepest confirmed arm vertex; structurally
-/// otherwise). The descent walks the centroid tree keeping the
-/// invariant *"the current centroid's component contains `t`"*: each
-/// level either routes structurally (`child_toward`, zero queries),
-/// spends one query to discover the centroid is off the arm, or lands
-/// on the arm and re-anchors via the unique-interesting-child search.
-pub struct CentroidDescent {
-    cd: CentroidDecomposition,
-}
-
-impl CentroidDescent {
-    pub fn build(tree: &pmc_tree::RootedTree, meter: &Meter) -> Self {
-        CentroidDescent { cd: CentroidDecomposition::build(tree, meter) }
-    }
-
-    /// The underlying decomposition (tests, experiments).
-    pub fn decomposition(&self) -> &CentroidDecomposition {
-        &self.cd
-    }
-}
-
-impl DecompositionStrategy for CentroidDescent {
-    fn descend(
-        &self,
-        search: &InterestSearch<'_>,
-        e: u32,
-        start: u32,
-        cov_e: u64,
-        mut exclude: Option<u32>,
-        meter: &Meter,
-    ) -> u32 {
-        let tree = search.q.tree();
-        let cd = &self.cd;
-        // Deepest confirmed arm vertex; the endpoint lies in its subtree.
-        let mut a = start;
-        let mut c = cd.top();
-        loop {
-            if c == a {
-                // The centroid is the deepest confirmed arm vertex:
-                // extend the arm by its unique interesting child, or
-                // certify that the arm ends here.
-                match search.interesting_child(e, a, cov_e, exclude, meter) {
-                    None => return a,
-                    Some(u) => {
-                        exclude = None;
-                        a = u;
-                        c = cd.child_toward(c, u);
-                        continue;
-                    }
-                }
-            }
-            let route_to = if tree.is_ancestor(c, a) {
-                // Strictly above `a`: descend toward it (structural).
-                search.lca.ancestor_at_depth(a, tree.depth(c) + 1)
-            } else if tree.is_ancestor(a, c) {
-                // Strictly below `a`: on the excluded branch the
-                // endpoint cannot be; otherwise one query decides
-                // whether `c` is on the arm.
-                let masked = exclude.is_some_and(|x| tree.is_ancestor(x, c));
-                if !masked && search.interesting(e, c, meter) {
-                    // `c` is an arm vertex: re-anchor and resolve it as
-                    // the new deepest confirmed vertex next iteration.
-                    exclude = None;
-                    a = c;
-                    continue;
-                }
-                // Off the arm: the endpoint is outside subtree(c).
-                tree.parent(c)
-            } else {
-                // Incomparable with `a`: the endpoint lives in
-                // subtree(a), disjoint from subtree(c).
-                tree.parent(c)
-            };
-            c = cd.child_toward(c, route_to);
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        InterestStrategy::Centroid.name()
-    }
-}
-
 /// A built arm-tracing engine: the tree-lifetime state of the interest
-/// search (heavy chains or the centroid decomposition). Building one is
-/// the expensive part of [`InterestSearch::build`]; a
-/// [`crate::engine::TreeContext`] constructs it once per packed tree and
-/// binds it to fresh [`InterestSearch`] views via
-/// [`InterestSearch::with_engine`] without rebuilding.
+/// search. A [`crate::engine::TreeContext`] builds it once per packed
+/// tree and binds it to [`InterestSearch`] views via
+/// [`InterestSearch::new`] without rebuilding.
 pub enum InterestEngine {
-    HeavyPath(HeavyPathDescent),
-    Centroid(CentroidDescent),
+    /// Heavy-path descent (DESIGN.md §2): `O(log² n)` cut queries per
+    /// arm, over the [`PathStrategy::HeavyPath`] decomposition's chains.
+    HeavyPath(PathDecomposition),
+    /// Centroid descent (Claim 4.13): `O(log n)` cut queries per arm on
+    /// bounded-degree trees.
+    ///
+    /// The arm endpoint `t` is the deepest vertex of a root-down chain
+    /// of vertices `v` with `t ∈ subtree(v)`, and that membership is
+    /// decidable with at most one coverage query (`interesting(e, v)`
+    /// when `v` lies strictly below the deepest confirmed arm vertex;
+    /// structurally otherwise). The descent walks the centroid tree
+    /// keeping the invariant *"the current centroid's component contains
+    /// `t`"*: each level either routes structurally (`child_toward`,
+    /// zero queries), spends one query to discover the centroid is off
+    /// the arm, or lands on the arm and re-anchors via the
+    /// unique-interesting-child search.
+    Centroid(CentroidDecomposition),
 }
 
 impl InterestEngine {
     /// Build the tree-lifetime engine for `strategy`.
     pub fn build(tree: &pmc_tree::RootedTree, strategy: InterestStrategy, meter: &Meter) -> Self {
         match strategy {
-            InterestStrategy::HeavyPath => {
-                InterestEngine::HeavyPath(HeavyPathDescent::build(tree, meter))
-            }
+            InterestStrategy::HeavyPath => InterestEngine::HeavyPath(PathDecomposition::build(
+                tree,
+                PathStrategy::HeavyPath,
+                meter,
+            )),
             InterestStrategy::Centroid => {
-                InterestEngine::Centroid(CentroidDescent::build(tree, meter))
+                InterestEngine::Centroid(CentroidDecomposition::build(tree, meter))
             }
         }
     }
 
-    /// The engine as a trait object.
-    pub fn strategy(&self) -> &dyn DecompositionStrategy {
+    /// Deepest vertex of the arm of `e` descending from `start` (`start`
+    /// itself when the arm is empty). `exclude` masks one child branch
+    /// of `start` — the branch the up-arm arrived from.
+    fn descend(
+        &self,
+        search: &InterestSearch<'_>,
+        e: u32,
+        start: u32,
+        cov_e: u64,
+        mut exclude: Option<u32>,
+        meter: &Meter,
+    ) -> u32 {
         match self {
-            InterestEngine::HeavyPath(h) => h,
-            InterestEngine::Centroid(c) => c,
+            // Repeatedly (1) find the unique interesting child branch
+            // (none -> stop), (2) binary search the arm's extent along
+            // that child's heavy chain.
+            InterestEngine::HeavyPath(paths) => {
+                let mut v = start;
+                loop {
+                    let Some(c) = search.interesting_child(e, v, cov_e, exclude, meter) else {
+                        return v;
+                    };
+                    exclude = None;
+                    // Binary search the deepest interesting edge on c's
+                    // heavy chain (interest is monotone along the
+                    // vertical chain). `c` is a child, never the root, so
+                    // its decomposition path is its heavy chain (the
+                    // root's path leaves out only the root itself).
+                    let chain = paths.path(paths.path_of(c));
+                    let k = paths.pos_of(c) as usize;
+                    let (mut lo, mut hi) = (k, chain.len() - 1);
+                    while lo < hi {
+                        let mid = (lo + hi).div_ceil(2);
+                        if search.interesting(e, chain[mid], meter) {
+                            lo = mid;
+                        } else {
+                            hi = mid - 1;
+                        }
+                    }
+                    let x = chain[lo];
+                    if x == v {
+                        return v;
+                    }
+                    v = x;
+                }
+            }
+            InterestEngine::Centroid(cd) => {
+                let tree = search.q.tree();
+                // Deepest confirmed arm vertex; the endpoint lies in its
+                // subtree.
+                let mut a = start;
+                let mut c = cd.top();
+                loop {
+                    if c == a {
+                        // The centroid is the deepest confirmed arm
+                        // vertex: extend the arm by its unique
+                        // interesting child, or certify that the arm
+                        // ends here.
+                        match search.interesting_child(e, a, cov_e, exclude, meter) {
+                            None => return a,
+                            Some(u) => {
+                                exclude = None;
+                                a = u;
+                                c = cd.child_toward(c, u);
+                                continue;
+                            }
+                        }
+                    }
+                    let route_to = if tree.is_ancestor(c, a) {
+                        // Strictly above `a`: descend toward it
+                        // (structural).
+                        search.lca.ancestor_at_depth(a, tree.depth(c) + 1)
+                    } else if tree.is_ancestor(a, c) {
+                        // Strictly below `a`: on the excluded branch the
+                        // endpoint cannot be; otherwise one query decides
+                        // whether `c` is on the arm.
+                        let masked = exclude.is_some_and(|x| tree.is_ancestor(x, c));
+                        if !masked && search.interesting(e, c, meter) {
+                            // `c` is an arm vertex: re-anchor and resolve
+                            // it as the new deepest confirmed vertex next
+                            // iteration.
+                            exclude = None;
+                            a = c;
+                            continue;
+                        }
+                        // Off the arm: the endpoint is outside
+                        // subtree(c).
+                        tree.parent(c)
+                    } else {
+                        // Incomparable with `a`: the endpoint lives in
+                        // subtree(a), disjoint from subtree(c).
+                        tree.parent(c)
+                    };
+                    c = cd.child_toward(c, route_to);
+                }
+            }
         }
     }
 }
 
-enum EngineRef<'a> {
-    Owned(InterestEngine),
-    Borrowed(&'a InterestEngine),
-}
-
-/// Interest-path search over a fixed [`CutQuery`] structure.
+/// Interest-path search over a fixed [`CutQuery`] structure, bound to a
+/// prebuilt [`InterestEngine`].
 ///
 /// Holds an [`LcaEngine`] rather than a bare lifting table: the arm
 /// binary searches need level-ancestor queries (which stay with the
@@ -332,39 +215,14 @@ enum EngineRef<'a> {
 pub struct InterestSearch<'a> {
     q: &'a CutQuery<'a>,
     lca: &'a LcaEngine,
-    engine: EngineRef<'a>,
+    engine: &'a InterestEngine,
 }
 
 impl<'a> InterestSearch<'a> {
-    /// Build the search with the given arm-tracing strategy (building
-    /// the engine from scratch; use [`InterestSearch::with_engine`] to
-    /// reuse a prebuilt one).
-    pub fn build(
-        q: &'a CutQuery<'a>,
-        lca: &'a LcaEngine,
-        strategy: InterestStrategy,
-        meter: &Meter,
-    ) -> Self {
-        let engine = InterestEngine::build(q.tree(), strategy, meter);
-        InterestSearch { q, lca, engine: EngineRef::Owned(engine) }
-    }
-
-    /// Bind the search to a prebuilt tree-lifetime engine — the reuse
-    /// path of the two-level solver engine: no per-call rebuild.
-    pub fn with_engine(
-        q: &'a CutQuery<'a>,
-        lca: &'a LcaEngine,
-        engine: &'a InterestEngine,
-    ) -> Self {
-        InterestSearch { q, lca, engine: EngineRef::Borrowed(engine) }
-    }
-
-    /// The active arm-tracing engine.
-    pub fn strategy(&self) -> &dyn DecompositionStrategy {
-        match &self.engine {
-            EngineRef::Owned(e) => e.strategy(),
-            EngineRef::Borrowed(e) => e.strategy(),
-        }
+    /// Bind the search to a prebuilt tree-lifetime engine — no per-call
+    /// rebuild.
+    pub fn new(q: &'a CutQuery<'a>, lca: &'a LcaEngine, engine: &'a InterestEngine) -> Self {
+        InterestSearch { q, lca, engine }
     }
 
     /// Is `f` interesting for `e` (`2 cov(e,f) > cov(e)`)?
@@ -381,9 +239,8 @@ impl<'a> InterestSearch<'a> {
         if cov_e == 0 {
             return Arms { de: e, ce: e };
         }
-        let strategy = self.strategy();
         // Down-arm: descend inside subtree(e).
-        let de = strategy.descend(self, e, e, cov_e, None, meter);
+        let de = self.engine.descend(self, e, e, cov_e, None, meter);
 
         // Up-arm: highest interesting ancestor edge by binary search on
         // depth (interest decreases going up).
@@ -416,7 +273,7 @@ impl<'a> InterestSearch<'a> {
             Some(x_star) => (tree.parent(x_star), x_star),
             None => (tree.parent(e), e),
         };
-        let over = strategy.descend(self, e, turn_node, cov_e, Some(exclude), meter);
+        let over = self.engine.descend(self, e, turn_node, cov_e, Some(exclude), meter);
         let ce = if over == turn_node { e } else { over };
         Arms { de, ce }
     }
@@ -533,6 +390,10 @@ mod tests {
         LcaEngine::build(tree, LcaStrategy::default(), &Meter::disabled())
     }
 
+    fn build_engine(q: &CutQuery<'_>, strategy: InterestStrategy) -> InterestEngine {
+        InterestEngine::build(q.tree(), strategy, &Meter::disabled())
+    }
+
     struct Fixture {
         g: Graph,
         tree: std::sync::Arc<RootedTree>,
@@ -566,8 +427,8 @@ mod tests {
             let f = fixture(24, 50, 200 + seed);
             let lca = lca_of(&f.tree);
             let q = CutQuery::build(&f.g, &f.tree, &lca, 0.5, &Meter::disabled());
-            let is =
-                InterestSearch::build(&q, &lca, InterestStrategy::default(), &Meter::disabled());
+            let engine = build_engine(&q, InterestStrategy::default());
+            let is = InterestSearch::new(&q, &lca, &engine);
             let m = Meter::disabled();
             for e in 1..24u32 {
                 let set = is.brute_interesting_set(e, &m);
@@ -612,7 +473,8 @@ mod tests {
             let q = CutQuery::build(&f.g, &f.tree, &lca, 0.4, &Meter::disabled());
             let m = Meter::disabled();
             for strategy in BOTH {
-                let is = InterestSearch::build(&q, &lca, strategy, &m);
+                let engine = build_engine(&q, strategy);
+                let is = InterestSearch::new(&q, &lca, &engine);
                 for e in 1..30u32 {
                     let arms = is.arms(e, &m);
                     let set = is.brute_interesting_set(e, &m);
@@ -641,8 +503,10 @@ mod tests {
             let lca = lca_of(&f.tree);
             let q = CutQuery::build(&f.g, &f.tree, &lca, 0.5, &Meter::disabled());
             let m = Meter::disabled();
-            let heavy = InterestSearch::build(&q, &lca, InterestStrategy::HeavyPath, &m);
-            let centroid = InterestSearch::build(&q, &lca, InterestStrategy::Centroid, &m);
+            let heavy_engine = build_engine(&q, InterestStrategy::HeavyPath);
+            let heavy = InterestSearch::new(&q, &lca, &heavy_engine);
+            let centroid_engine = build_engine(&q, InterestStrategy::Centroid);
+            let centroid = InterestSearch::new(&q, &lca, &centroid_engine);
             for e in 1..28u32 {
                 assert_eq!(
                     heavy.arms(e, &m),
@@ -670,7 +534,8 @@ mod tests {
             let q = CutQuery::build(&g, &tree, &lca, 0.5, &Meter::disabled());
             let m = Meter::disabled();
             for strategy in BOTH {
-                let is = InterestSearch::build(&q, &lca, strategy, &m);
+                let engine = build_engine(&q, strategy);
+                let is = InterestSearch::new(&q, &lca, &engine);
                 for e in (0..g.n() as u32).filter(|&v| v != tree.root()) {
                     let arms = is.arms(e, &m);
                     let set = is.brute_interesting_set(e, &m);
@@ -698,7 +563,8 @@ mod tests {
         let q = CutQuery::build(&g, &tree, &lca, 0.5, &Meter::disabled());
         let m = Meter::disabled();
         for strategy in BOTH {
-            let is = InterestSearch::build(&q, &lca, strategy, &m);
+            let engine = build_engine(&q, strategy);
+            let is = InterestSearch::new(&q, &lca, &engine);
             for e in 1..12u32 {
                 assert!(is.brute_interesting_set(e, &m).is_empty());
                 let arms = is.arms(e, &m);
@@ -723,7 +589,8 @@ mod tests {
         // Every tree edge is covered by the chord (weight 5) and itself
         // (weight 1): cov = 6, cov2 = 5 between any two tree edges.
         for strategy in BOTH {
-            let is = InterestSearch::build(&q, &lca, strategy, &m);
+            let engine = build_engine(&q, strategy);
+            let is = InterestSearch::new(&q, &lca, &engine);
             for e in 1..10u32 {
                 assert_eq!(q.cov(e), 6);
                 let set = is.brute_interesting_set(e, &m);
@@ -738,6 +605,35 @@ mod tests {
                     assert!(cover.contains(&fe));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn heavy_path_arm_runs_along_the_root_chain() {
+        // The path tree 0-1-…-9 is one heavy chain from the root. The
+        // heavy-path decomposition's root path leaves out the root itself
+        // ([1, 2, …, 9]), so for e = 1 the descent finds child 2 with one
+        // mass probe and binary searches positions 1..=8 of that path.
+        // A chord (0, t) of weight 5 makes exactly the edges 2..=t
+        // interesting for e = 1:
+        // * t = 9: the search probes vertices 6, 8 and 9 and lands on 9;
+        // * t = 2: it probes 6, 4 and 3, lands on 2 itself, and one more
+        //   mass probe finds no interesting child below 2.
+        // The up-arm is empty (e hangs off the root). A chain position
+        // off by one either way changes the endpoint or the probe count.
+        let parent: Vec<u32> = (0..10u32).map(|v| v.saturating_sub(1)).collect();
+        let tree = std::sync::Arc::new(RootedTree::from_parents(0, &parent));
+        let lca = lca_of(&tree);
+        for (t, probes) in [(9u32, 4u64), (2, 5)] {
+            let mut edges: Vec<(u32, u32, u64)> = (0..9u32).map(|i| (i, i + 1, 1)).collect();
+            edges.push((0, t, 5));
+            let g = Graph::from_edges(10, edges);
+            let q = CutQuery::build(&g, &tree, &lca, 0.5, &Meter::disabled());
+            let engine = build_engine(&q, InterestStrategy::HeavyPath);
+            let is = InterestSearch::new(&q, &lca, &engine);
+            let meter = Meter::enabled();
+            assert_eq!(is.arms(1, &meter), Arms { de: t, ce: 1 }, "chord to {t}");
+            assert_eq!(meter.get(CostKind::InterestQuery), probes, "chord to {t}");
         }
     }
 
@@ -770,7 +666,8 @@ mod tests {
         let tree = std::sync::Arc::new(RootedTree::from_parents(0, &[0, 0, 0, 1, 2, 4]));
         let lca = lca_of(&tree);
         let q = CutQuery::build(&g, &tree, &lca, 0.5, &Meter::disabled());
-        let is = InterestSearch::build(&q, &lca, InterestStrategy::default(), &Meter::disabled());
+        let engine = build_engine(&q, InterestStrategy::default());
+        let is = InterestSearch::new(&q, &lca, &engine);
         let m = Meter::disabled();
         let (e, f, e_prime) = (3u32, 5u32, 4u32);
         // e is cross-interested in f and vice versa.
@@ -792,7 +689,8 @@ mod tests {
         let lca = lca_of(&tree);
         let q = CutQuery::build(&g, &tree, &lca, 0.5, &Meter::disabled());
         let count = |strategy: InterestStrategy| -> u64 {
-            let is = InterestSearch::build(&q, &lca, strategy, &Meter::disabled());
+            let engine = build_engine(&q, strategy);
+            let is = InterestSearch::new(&q, &lca, &engine);
             let meter = Meter::enabled();
             for &e in &spine[1..] {
                 is.arms(e, &meter);

@@ -9,9 +9,10 @@
 //!   `cut(e,f) = cov(e) + cov(f) - 2 cov(e,f)` (see DESIGN.md).
 //! * [`interest`]: the cross-/down-interest search of Definition 4.7 /
 //!   Claims 4.8, 4.13 — per tree edge, the endpoints `ce`/`de` of the
-//!   path of edges it is interested in, traced by a pluggable
-//!   [`interest::DecompositionStrategy`] (centroid descent by default,
-//!   heavy-path descent as the fallback).
+//!   path of edges it is interested in, traced by the
+//!   [`interest::InterestEngine`] that [`interest::InterestStrategy`]
+//!   selects (centroid descent by default, heavy-path descent as the
+//!   fallback).
 //! * [`two_respect`]: the minimum 2-respecting cut of a spanning tree
 //!   (Theorem 4.2): path decomposition, partial-Monge single-path
 //!   search, interest tuples, and Monge pair search.
@@ -60,10 +61,7 @@ pub use exact::{
 // `pmc-fault`) re-exported where solver callers already look.
 pub use pmc_fault::{Deadline, DegradeReason, FaultPlan, PmcError, SolveQuality};
 pub use robust::exact_mincut_robust;
-pub use interest::{
-    Arms, CentroidDescent, DecompositionStrategy, HeavyPathDescent, InterestEngine,
-    InterestSearch, InterestStrategy,
-};
+pub use interest::{Arms, InterestEngine, InterestSearch, InterestStrategy};
 pub use packing::{greedy_tree_packing, PackingParams};
 pub use two_respect::{
     naive_two_respecting, two_respecting_mincut, two_respecting_mincut_in, TwoRespectParams,

@@ -27,7 +27,7 @@ use crate::interest::{InterestEngine, InterestSearch, InterestStrategy};
 use pmc_graph::{CutResult, Graph};
 use pmc_monge::{monge_minimum, triangle_minimum, Orient};
 use pmc_parallel::meter::Meter;
-use pmc_tree::{LcaEngine, LcaStrategy, LcaTable, PathDecomposition, PathStrategy, RootedTree};
+use pmc_tree::{LcaEngine, LcaStrategy, PathDecomposition, PathStrategy, RootedTree};
 use rayon::prelude::*;
 use std::sync::Arc;
 
@@ -207,7 +207,7 @@ fn cross_path_minimum(
     if decomp.num_paths() < 2 {
         return Best::NONE;
     }
-    let search = InterestSearch::with_engine(q, lca, engine);
+    let search = InterestSearch::new(q, lca, engine);
 
     // Interest tuples (Claim 4.15): for each edge e, the decomposition
     // paths on the root-paths of its arm endpoints.
@@ -338,7 +338,7 @@ pub fn naive_two_respecting(
     let n = tree.n();
     assert!(n >= 2);
     let tree = Arc::new(tree.clone());
-    let lca = LcaTable::build(&tree);
+    let lca = LcaEngine::build(&tree, LcaStrategy::Lifting, meter);
     let q = CutQuery::build(g, &tree, &lca, eps, meter);
     let root = tree.root();
     let best = (0..n as u32)
@@ -451,7 +451,7 @@ mod tests {
         for _ in 0..6 {
             let g = generators::gnm_connected(22, 60, 5, &mut rng);
             let t = spanning_tree_of(&g, 0);
-            let lca = LcaTable::build(&t);
+            let lca = LcaEngine::build(&t, LcaStrategy::Lifting, &Meter::disabled());
             let q = CutQuery::build(&g, &t, &lca, 0.5, &Meter::disabled());
             let m = Meter::disabled();
             let decomp = PathDecomposition::build(&t, PathStrategy::HeavyPath, &m);
@@ -483,7 +483,7 @@ mod tests {
         for _ in 0..10 {
             let g = generators::gnm_connected(24, 70, 6, &mut rng);
             let t = spanning_tree_of(&g, 0);
-            let lca = LcaTable::build(&t);
+            let lca = LcaEngine::build(&t, LcaStrategy::Lifting, &Meter::disabled());
             let q = CutQuery::build(&g, &t, &lca, 0.5, &Meter::disabled());
             let m = Meter::disabled();
             // Sample vertical chains: root-to-leaf paths, then pick two

@@ -4,14 +4,11 @@
 //! leaves components of at most half the size. The paper uses it to
 //! steer the search for interested edges (Claim 4.13), which is what
 //! the default `Centroid` interest strategy in `pmc-mincut::interest`
-//! does; the component-aware queries below ([`children`],
-//! [`component_contains`], [`child_toward`], [`post_range`]) are the
-//! navigation primitives that descent needs.
+//! does; the component-aware queries below ([`component_contains`],
+//! [`child_toward`]) are the navigation primitives that descent needs.
 //!
-//! [`children`]: CentroidDecomposition::children
 //! [`component_contains`]: CentroidDecomposition::component_contains
 //! [`child_toward`]: CentroidDecomposition::child_toward
-//! [`post_range`]: CentroidDecomposition::post_range
 
 use crate::rooted::RootedTree;
 use pmc_parallel::meter::{CostKind, Meter};
@@ -24,8 +21,6 @@ use pmc_parallel::meter::{CostKind, Meter};
 /// children partition `component(c) \ {c}`.
 #[derive(Debug, Clone)]
 pub struct CentroidDecomposition {
-    /// Parent in the centroid tree; `u32::MAX` for the top centroid.
-    parent_c: Vec<u32>,
     /// Depth in the centroid tree (top centroid = 0).
     depth_c: Vec<u32>,
     /// Per-vertex centroid ancestors, top-down: `anc[v][d]` is `v`'s
@@ -33,15 +28,6 @@ pub struct CentroidDecomposition {
     /// `depth_c[v] + 1` and ends with `v` itself). Total size
     /// `O(n log n)` by Lemma 4.12.
     anc: Vec<Vec<u32>>,
-    /// Number of vertices in each centroid's component.
-    comp_size: Vec<u32>,
-    /// Min/max postorder index over each centroid's component.
-    post_lo: Vec<u32>,
-    /// See `post_lo`.
-    post_hi: Vec<u32>,
-    /// Centroid-tree children, CSR layout.
-    child_offsets: Vec<u32>,
-    child_list: Vec<u32>,
     top: u32,
 }
 
@@ -57,34 +43,28 @@ impl CentroidDecomposition {
     pub fn build(tree: &RootedTree, meter: &Meter) -> Self {
         let n = tree.n();
         meter.add(CostKind::TreeOp, build_charge(n));
-        // Undirected adjacency from the rooted structure.
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for v in 0..n as u32 {
-            if v != tree.root() {
-                let p = tree.parent(v);
-                adj[v as usize].push(p);
-                adj[p as usize].push(v);
-            }
-        }
-        let mut parent_c = vec![u32::MAX; n];
+        // Undirected neighbours from the rooted structure. The centroid
+        // of a component is unique given where the walk below enters
+        // it, so neighbour order does not change the decomposition.
+        let root = tree.root();
+        let nbrs = |v: u32| {
+            tree.children(v).iter().copied().chain((v != root).then(|| tree.parent(v)))
+        };
         let mut depth_c = vec![u32::MAX; n];
         let mut anc: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut comp_size = vec![0u32; n];
-        let mut post_lo = vec![u32::MAX; n];
-        let mut post_hi = vec![0u32; n];
         let mut removed = vec![false; n];
         let mut size = vec![0u32; n];
         let mut top = 0u32;
 
-        // Work queue of (component representative, centroid parent, depth).
-        let mut queue: Vec<(u32, u32, u32)> = vec![(tree.root(), u32::MAX, 0)];
+        // Work queue of (component representative, centroid depth).
+        let mut queue: Vec<(u32, u32)> = vec![(root, 0)];
         let mut stack: Vec<(u32, u32)> = Vec::new();
         let mut order: Vec<u32> = Vec::new();
 
         // DFS parent within the current component, indexed by vertex.
         let mut dfs_parent = vec![u32::MAX; n];
 
-        while let Some((rep, cpar, cdepth)) = queue.pop() {
+        while let Some((rep, cdepth)) = queue.pop() {
             // Collect the component in DFS preorder, recording DFS parents.
             order.clear();
             stack.clear();
@@ -92,14 +72,14 @@ impl CentroidDecomposition {
             while let Some((v, from)) = stack.pop() {
                 order.push(v);
                 dfs_parent[v as usize] = from;
-                for &u in &adj[v as usize] {
+                for u in nbrs(v) {
                     if u != from && !removed[u as usize] {
                         stack.push((u, v));
                     }
                 }
             }
             // Subtree sizes by reverse-preorder accumulation.
-            let comp_size_count = order.len() as u32;
+            let comp_size = order.len() as u32;
             for &v in &order {
                 size[v as usize] = 1;
             }
@@ -112,11 +92,11 @@ impl CentroidDecomposition {
             // Find the centroid: walk from rep toward any too-big part.
             let mut c = rep;
             'outer: loop {
-                for &u in &adj[c as usize] {
+                for u in nbrs(c) {
                     if removed[u as usize] || dfs_parent[u as usize] != c {
                         continue;
                     }
-                    if size[u as usize] * 2 > comp_size_count {
+                    if size[u as usize] * 2 > comp_size {
                         c = u;
                         continue 'outer;
                     }
@@ -124,12 +104,10 @@ impl CentroidDecomposition {
                 break;
             }
             // The part above c must also be at most half.
-            debug_assert!((comp_size_count - size[c as usize]) * 2 <= comp_size_count);
+            debug_assert!((comp_size - size[c as usize]) * 2 <= comp_size);
 
-            parent_c[c as usize] = cpar;
             depth_c[c as usize] = cdepth;
-            comp_size[c as usize] = comp_size_count;
-            if cpar == u32::MAX {
+            if cdepth == 0 {
                 top = c;
             }
             // Every vertex of this component has `c` as its centroid
@@ -139,60 +117,21 @@ impl CentroidDecomposition {
             for &v in &order {
                 debug_assert_eq!(anc[v as usize].len(), cdepth as usize);
                 anc[v as usize].push(c);
-                let p = tree.post(v);
-                post_lo[c as usize] = post_lo[c as usize].min(p);
-                post_hi[c as usize] = post_hi[c as usize].max(p);
             }
             removed[c as usize] = true;
-            for &u in &adj[c as usize] {
+            for u in nbrs(c) {
                 if !removed[u as usize] {
-                    queue.push((u, c, cdepth + 1));
+                    queue.push((u, cdepth + 1));
                 }
             }
         }
-        // Centroid-tree children in CSR layout.
-        let mut counts = vec![0u32; n + 1];
-        for &p in &parent_c {
-            if p != u32::MAX {
-                counts[p as usize + 1] += 1;
-            }
-        }
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
-        let child_offsets = counts.clone();
-        let mut cursor = counts;
-        let mut child_list = vec![0u32; n.saturating_sub(1)];
-        for v in 0..n as u32 {
-            let p = parent_c[v as usize];
-            if p != u32::MAX {
-                child_list[cursor[p as usize] as usize] = v;
-                cursor[p as usize] += 1;
-            }
-        }
-        CentroidDecomposition {
-            parent_c,
-            depth_c,
-            anc,
-            comp_size,
-            post_lo,
-            post_hi,
-            child_offsets,
-            child_list,
-            top,
-        }
+        CentroidDecomposition { depth_c, anc, top }
     }
 
     /// The root of the centroid tree.
     #[inline]
     pub fn top(&self) -> u32 {
         self.top
-    }
-
-    /// Parent of `v` in the centroid tree (`u32::MAX` at the top).
-    #[inline]
-    pub fn parent(&self, v: u32) -> u32 {
-        self.parent_c[v as usize]
     }
 
     /// Depth of `v` in the centroid tree.
@@ -204,47 +143,6 @@ impl CentroidDecomposition {
     /// Maximum centroid-tree depth (`O(log n)` by Lemma 4.12).
     pub fn max_depth(&self) -> u32 {
         self.depth_c.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Is `a` an ancestor of `b` in the centroid tree (inclusive)?
-    pub fn is_centroid_ancestor(&self, a: u32, b: u32) -> bool {
-        let mut v = b;
-        loop {
-            if v == a {
-                return true;
-            }
-            if self.depth_c[v as usize] == 0 {
-                return false;
-            }
-            v = self.parent_c[v as usize];
-        }
-    }
-
-    /// Centroid-tree ancestors of `v`, from `v` to the top.
-    pub fn ancestors(&self, v: u32) -> Vec<u32> {
-        let mut out = vec![v];
-        let mut cur = v;
-        while self.parent_c[cur as usize] != u32::MAX {
-            cur = self.parent_c[cur as usize];
-            out.push(cur);
-        }
-        out
-    }
-
-    /// Centroid-tree children of `c` — the centroids of the components
-    /// that `component(c) \ {c}` falls apart into.
-    #[inline]
-    pub fn children(&self, c: u32) -> &[u32] {
-        let lo = self.child_offsets[c as usize] as usize;
-        let hi = self.child_offsets[c as usize + 1] as usize;
-        &self.child_list[lo..hi]
-    }
-
-    /// Number of vertices in `c`'s component (the whole tree for the
-    /// top centroid; halves at least once per level by Lemma 4.12).
-    #[inline]
-    pub fn component_size(&self, c: u32) -> u32 {
-        self.comp_size[c as usize]
     }
 
     /// Does `c`'s component contain `v`? `O(1)`: the component of `c`
@@ -264,14 +162,6 @@ impl CentroidDecomposition {
         debug_assert!(self.component_contains(c, v) && v != c, "v must be in component(c) \\ {{c}}");
         self.anc[v as usize][self.depth_c[c as usize] as usize + 1]
     }
-
-    /// The `[min, max]` postorder-index range of `c`'s component — a
-    /// necessary (not sufficient) membership interval: components are
-    /// connected subtrees but not postorder-contiguous in general.
-    #[inline]
-    pub fn post_range(&self, c: u32) -> (u32, u32) {
-        (self.post_lo[c as usize], self.post_hi[c as usize])
-    }
 }
 
 #[cfg(test)]
@@ -286,6 +176,13 @@ mod tests {
         RootedTree::from_parents(0, &parent)
     }
 
+    /// Parent of `v` in the centroid tree (`None` at the top): `v`'s
+    /// centroid ancestor one level up.
+    fn centroid_parent(cd: &CentroidDecomposition, v: u32) -> Option<u32> {
+        let d = cd.depth(v) as usize;
+        (d > 0).then(|| cd.anc[v as usize][d - 1])
+    }
+
     #[test]
     fn every_vertex_assigned() {
         let mut rng = StdRng::seed_from_u64(81);
@@ -294,7 +191,14 @@ mod tests {
         let mut tops = 0;
         for v in 0..300u32 {
             assert_ne!(cd.depth(v), u32::MAX, "vertex {v} unassigned");
-            if cd.parent(v) == u32::MAX {
+            let chain = &cd.anc[v as usize];
+            assert_eq!(chain.len() as u32, cd.depth(v) + 1, "ancestor chain of {v}");
+            assert_eq!(chain[0], cd.top());
+            assert_eq!(*chain.last().expect("chain ends with v"), v);
+            for (d, &a) in chain.iter().enumerate() {
+                assert_eq!(cd.depth(a) as usize, d, "centroid ancestor {a} of {v} at depth {d}");
+            }
+            if centroid_parent(&cd, v).is_none() {
                 tops += 1;
                 assert_eq!(cd.top(), v);
             }
@@ -325,7 +229,8 @@ mod tests {
     #[test]
     fn centroid_lca_lies_on_tree_path() {
         // Classic property: for any u, v the lowest common centroid
-        // ancestor lies on the tree path between u and v.
+        // ancestor — the deepest centroid whose component holds both —
+        // lies on the tree path between u and v.
         let mut rng = StdRng::seed_from_u64(83);
         let t = random_tree(120, &mut rng);
         let cd = CentroidDecomposition::build(&t, &Meter::disabled());
@@ -352,9 +257,10 @@ mod tests {
         for _ in 0..300 {
             let u = rng.random_range(0..120);
             let v = rng.random_range(0..120);
-            let au = cd.ancestors(u);
-            let av: std::collections::HashSet<u32> = cd.ancestors(v).into_iter().collect();
-            let meet = *au.iter().find(|x| av.contains(x)).expect("ancestor chains intersect");
+            let meet = (0..120u32)
+                .filter(|&c| cd.component_contains(c, u) && cd.component_contains(c, v))
+                .max_by_key(|&c| cd.depth(c))
+                .expect("the top component holds both");
             assert!(on_path(u, v, meet), "centroid meet {meet} off path {u}-{v}");
         }
     }
@@ -365,8 +271,15 @@ mod tests {
         let t = random_tree(60, &mut rng);
         let cd = CentroidDecomposition::build(&t, &Meter::disabled());
         for v in 0..60u32 {
-            assert!(cd.is_centroid_ancestor(cd.top(), v));
-            assert!(cd.is_centroid_ancestor(v, v));
+            assert!(cd.component_contains(cd.top(), v));
+            assert!(cd.component_contains(v, v));
+            // Every centroid ancestor's component holds v.
+            let mut a = v;
+            while let Some(p) = centroid_parent(&cd, a) {
+                assert!(cd.component_contains(p, v), "component({p}) holds {v}");
+                a = p;
+            }
+            assert_eq!(a, cd.top());
         }
     }
 
@@ -383,8 +296,8 @@ mod tests {
         let t = RootedTree::from_parents(0, &[0, 0]);
         let cd = CentroidDecomposition::build(&t, &Meter::disabled());
         assert!(cd.max_depth() <= 1);
-        assert!(cd.is_centroid_ancestor(cd.top(), 0));
-        assert!(cd.is_centroid_ancestor(cd.top(), 1));
+        assert!(cd.component_contains(cd.top(), 0));
+        assert!(cd.component_contains(cd.top(), 1));
     }
 
     /// Reference components by brute force: remove all centroids of
@@ -419,19 +332,22 @@ mod tests {
         let cd = CentroidDecomposition::build(&t, &Meter::disabled());
         for c in 0..90u32 {
             let comp = brute_component(&t, &cd, c);
-            assert_eq!(comp.len() as u32, cd.component_size(c), "size of component({c})");
-            let (lo, hi) = cd.post_range(c);
+            let size = (0..90u32).filter(|&v| cd.component_contains(c, v)).count();
+            assert_eq!(comp.len(), size, "size of component({c})");
+            let children: Vec<u32> =
+                (0..90u32).filter(|&d| centroid_parent(&cd, d) == Some(c)).collect();
             let mut in_comp = [false; 90];
             for &v in &comp {
                 in_comp[v as usize] = true;
                 assert!(cd.component_contains(c, v), "{v} in component({c})");
-                assert!((lo..=hi).contains(&t.post(v)), "post range of component({c})");
                 if v != c {
                     // Routing: the centroid child toward v is a child of
-                    // c whose component contains v.
+                    // c whose component contains v — and the only one.
                     let d = cd.child_toward(c, v);
-                    assert_eq!(cd.parent(d), c);
+                    assert_eq!(centroid_parent(&cd, d), Some(c));
                     assert!(cd.component_contains(d, v));
+                    let holders = children.iter().filter(|&&x| cd.component_contains(x, v));
+                    assert_eq!(holders.count(), 1, "{v} in one child component of {c}");
                 }
             }
             for v in 0..90u32 {
@@ -440,8 +356,8 @@ mod tests {
                 }
             }
             // Children's components partition component(c) \ {c}.
-            let sub: u32 = cd.children(c).iter().map(|&d| cd.component_size(d)).sum();
-            assert_eq!(sub + 1, cd.component_size(c), "children partition component({c})");
+            let sub: usize = children.iter().map(|&d| brute_component(&t, &cd, d).len()).sum();
+            assert_eq!(sub + 1, comp.len(), "children partition component({c})");
         }
     }
 

@@ -1,6 +1,6 @@
-//! Binary-lifting LCA, level-ancestor queries, and the pluggable
-//! [`LcaEngine`] that dispatches between lifting and the O(1)
-//! sparse-table path.
+//! Binary-lifting LCA, level-ancestor queries, and the [`LcaEngine`]
+//! that routes each LCA query to lifting or the O(1) sparse-table
+//! path.
 //!
 //! The interest search (§4.1.3) binary-searches along root-to-vertex
 //! chains; [`LcaTable::ancestor_at_depth`] provides the `O(log n)` jump
@@ -109,9 +109,7 @@ impl LcaTable {
     }
 }
 
-/// Which engine answers plain `lca(a, b)` queries. Like
-/// `InterestStrategy`, a params enum with a human-readable
-/// [`name`](LcaStrategy::name) for ablation tables.
+/// Which engine answers plain `lca(a, b)` queries.
 ///
 /// Level-ancestor queries (`kth_ancestor`, `ancestor_at_depth`) are not
 /// affected — both strategies keep the binary-lifting table for those.
@@ -127,83 +125,11 @@ pub enum LcaStrategy {
     SparseTable,
 }
 
-impl LcaStrategy {
-    pub fn name(self) -> &'static str {
-        match self {
-            LcaStrategy::Lifting => "lifting",
-            LcaStrategy::SparseTable => "sparse-table",
-        }
-    }
-}
-
-/// Anything that can answer LCA queries with metered step accounting.
-///
-/// `lca_metered` charges [`CostKind::LcaStep`] with the number of table
-/// probes the query performs — `levels()` for binary lifting (grows
-/// with `log n`), exactly 1 for the sparse-table path. The ablation
-/// harness reads this gauge to *record* (not assert) that the O(1)
-/// engine's per-query cost does not grow with depth.
-///
-/// There is no batched form: the coverage pass (one query per graph
-/// edge) calls `lca_metered` per edge, because an offline sorted sweep
-/// over the Euler tour measured ~1.9× slower than the O(1) probes
-/// (DESIGN.md §13).
-pub trait LcaOracle: Sync {
-    /// Lowest common ancestor of `a` and `b`.
-    fn lca(&self, a: u32, b: u32) -> u32;
-    /// Depth of vertex `v` (named to avoid colliding with the inherent
-    /// `depth` accessors of the implementors).
-    fn node_depth(&self, v: u32) -> u32;
-    /// [`LcaOracle::lca`] plus a [`CostKind::LcaStep`] charge per table
-    /// probe.
-    fn lca_metered(&self, a: u32, b: u32, meter: &Meter) -> u32;
-}
-
-impl LcaOracle for LcaTable {
-    #[inline]
-    fn lca(&self, a: u32, b: u32) -> u32 {
-        LcaTable::lca(self, a, b)
-    }
-
-    #[inline]
-    fn node_depth(&self, v: u32) -> u32 {
-        self.depth(v)
-    }
-
-    #[inline]
-    fn lca_metered(&self, a: u32, b: u32, meter: &Meter) -> u32 {
-        // The lifting descent examines every jump level once (plus the
-        // equalizing kth_ancestor walk, same order) — charge one step
-        // per level so the gauge scales like the real probe count.
-        meter.add(CostKind::LcaStep, self.levels() as u64);
-        LcaTable::lca(self, a, b)
-    }
-}
-
-impl LcaOracle for SparseLca {
-    #[inline]
-    fn lca(&self, a: u32, b: u32) -> u32 {
-        SparseLca::lca(self, a, b)
-    }
-
-    #[inline]
-    fn node_depth(&self, v: u32) -> u32 {
-        self.depth(v)
-    }
-
-    #[inline]
-    fn lca_metered(&self, a: u32, b: u32, meter: &Meter) -> u32 {
-        // One O(1) RMQ probe, whatever the tree depth.
-        meter.bump(CostKind::LcaStep);
-        SparseLca::lca(self, a, b)
-    }
-}
-
 /// The LCA substrate a solver context carries: always the lifting table
 /// (level ancestors need it), plus the O(1) sparse structure when
-/// [`LcaStrategy::SparseTable`] is selected. `lca`/`distance` dispatch
-/// on the strategy; `kth_ancestor`/`ancestor_at_depth` delegate to the
-/// lifting table unconditionally.
+/// [`LcaStrategy::SparseTable`] is selected. `lca`/`lca_metered`/
+/// `distance` dispatch on the strategy; `kth_ancestor`/
+/// `ancestor_at_depth` delegate to the lifting table unconditionally.
 #[derive(Debug, Clone)]
 pub struct LcaEngine {
     lifting: LcaTable,
@@ -261,31 +187,36 @@ impl LcaEngine {
         }
     }
 
+    /// [`LcaEngine::lca`] plus a [`CostKind::LcaStep`] charge per table
+    /// probe: exactly 1 for the sparse table, `levels()` for binary
+    /// lifting (whose descent examines every jump level once, plus the
+    /// equalizing walk of the same order). The ablation harness reads
+    /// this gauge to *record* (not assert) that the O(1) path's
+    /// per-query cost does not grow with depth.
+    ///
+    /// There is no batched form: the coverage pass (one query per graph
+    /// edge) calls this per edge, because an offline sorted sweep over
+    /// the Euler tour measured ~1.9× slower than the O(1) probes
+    /// (DESIGN.md §13).
+    #[inline]
+    pub fn lca_metered(&self, a: u32, b: u32, meter: &Meter) -> u32 {
+        match &self.sparse {
+            Some(s) => {
+                meter.bump(CostKind::LcaStep);
+                s.lca(a, b)
+            }
+            None => {
+                meter.add(CostKind::LcaStep, self.lifting.levels() as u64);
+                self.lifting.lca(a, b)
+            }
+        }
+    }
+
     #[inline]
     pub fn distance(&self, a: u32, b: u32) -> u32 {
         match &self.sparse {
             Some(s) => s.distance(a, b),
             None => self.lifting.distance(a, b),
-        }
-    }
-}
-
-impl LcaOracle for LcaEngine {
-    #[inline]
-    fn lca(&self, a: u32, b: u32) -> u32 {
-        LcaEngine::lca(self, a, b)
-    }
-
-    #[inline]
-    fn node_depth(&self, v: u32) -> u32 {
-        self.depth(v)
-    }
-
-    #[inline]
-    fn lca_metered(&self, a: u32, b: u32, meter: &Meter) -> u32 {
-        match &self.sparse {
-            Some(s) => s.lca_metered(a, b, meter),
-            None => self.lifting.lca_metered(a, b, meter),
         }
     }
 }

@@ -12,9 +12,9 @@
 //!   the stack);
 //! * [`rmq`]: the block-decomposed O(1) RMQ ([`rmq::BlockRmq`]) and the
 //!   production Euler-tour LCA built on it ([`rmq::SparseLca`]);
-//! * [`lca`]: binary-lifting LCA, level ancestors, and the pluggable
-//!   [`lca::LcaEngine`] dispatching between the two via
-//!   [`lca::LcaStrategy`];
+//! * [`lca`]: binary-lifting LCA, level ancestors, and the concrete
+//!   [`lca::LcaEngine`] that routes each query (metered or not) to
+//!   lifting or the sparse table, as its [`lca::LcaStrategy`] says;
 //! * [`paths`]: heavy-path and bough decompositions — both satisfy
 //!   Property 4.3 (any root-to-leaf path meets `O(log n)` decomposition
 //!   paths) — plus the Root-paths query structure of Lemma 4.5;
@@ -28,7 +28,7 @@ pub mod rmq;
 pub mod rooted;
 
 pub use centroid::CentroidDecomposition;
-pub use lca::{LcaEngine, LcaOracle, LcaStrategy, LcaTable};
+pub use lca::{LcaEngine, LcaStrategy, LcaTable};
 pub use paths::{PathDecomposition, PathStrategy};
 pub use rmq::{BlockRmq, SparseLca};
 pub use rooted::RootedTree;

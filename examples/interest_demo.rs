@@ -11,7 +11,7 @@
 //! ```
 
 use parallel_mincut::prelude::*;
-use pmc_mincut::{CutQuery, InterestSearch, InterestStrategy};
+use pmc_mincut::{CutQuery, InterestEngine, InterestSearch, InterestStrategy};
 use pmc_tree::RootedTree;
 
 fn main() {
@@ -43,7 +43,8 @@ fn main() {
     let meter = Meter::disabled();
     let lca = LcaEngine::build(&tree, LcaStrategy::default(), &meter);
     let q = CutQuery::build(&g, &tree, &lca, 0.5, &meter);
-    let search = InterestSearch::build(&q, &lca, InterestStrategy::default(), &meter);
+    let engine = InterestEngine::build(&tree, InterestStrategy::default(), &meter);
+    let search = InterestSearch::new(&q, &lca, &engine);
 
     let name = |v: u32| match v {
         3 => "e ",

@@ -1,5 +1,6 @@
 //! The `pmc` binary rejects out-of-range arguments with an `error:`
-//! line and exit code 2 instead of panicking inside a library
+//! line and exit code 2, and an unreadable graph file with an `error:`
+//! line and exit code 1, instead of panicking inside a library
 //! `assert!`, and still answers a valid request.
 
 use std::path::PathBuf;
@@ -47,4 +48,19 @@ fn gen_rejects_sizes_below_each_generators_minimum() {
         assert_rejected(&["gen", kind, n, out_arg]);
     }
     assert!(!out_file.exists(), "a rejected gen must not write its output");
+}
+
+#[test]
+fn stats_rejects_a_vertex_count_beyond_u32() {
+    let graph = temp_path("huge-n.txt");
+    let graph_arg = graph.to_str().expect("utf-8 temp path");
+    for header in ["p 4294967295 1", "p 4294967296 1", "p 5000000000 0"] {
+        std::fs::write(&graph, format!("{header}\ne 0 1 1\n")).expect("temp file written");
+        let out = pmc(&["stats", graph_arg]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{header}: stderr {stderr}");
+        assert!(stderr.starts_with("error: "), "{header}: stderr {stderr}");
+        assert!(stderr.contains("vertices"), "{header}: stderr {stderr}");
+    }
+    std::fs::remove_file(&graph).ok();
 }

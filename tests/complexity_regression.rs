@@ -22,7 +22,7 @@
 //! where the larger sizes are cheap.
 
 use parallel_mincut::prelude::*;
-use pmc_mincut::{CutQuery, InterestSearch};
+use pmc_mincut::{CutQuery, InterestEngine, InterestSearch};
 use pmc_tree::RootedTree;
 
 /// Per-spine-edge cut-query statistics of `arms()` for one strategy.
@@ -31,7 +31,8 @@ fn arm_query_stats(levels: usize, strategy: InterestStrategy) -> (u64, f64) {
     let tree = std::sync::Arc::new(RootedTree::from_parents(0, &parent));
     let lca = LcaEngine::build(&tree, LcaStrategy::default(), &Meter::disabled());
     let q = CutQuery::build(&g, &tree, &lca, 0.5, &Meter::disabled());
-    let is = InterestSearch::build(&q, &lca, strategy, &Meter::disabled());
+    let engine = InterestEngine::build(&tree, strategy, &Meter::disabled());
+    let is = InterestSearch::new(&q, &lca, &engine);
     let (mut max, mut total) = (0u64, 0u64);
     for &e in &spine[1..] {
         let meter = Meter::enabled();

@@ -190,7 +190,8 @@ proptest! {
         let q = pmc_mincut::CutQuery::build(&g, &t, &lca, 0.5, &Meter::disabled());
         let m = Meter::disabled();
         for strategy in [InterestStrategy::HeavyPath, InterestStrategy::Centroid] {
-            let is = pmc_mincut::InterestSearch::build(&q, &lca, strategy, &m);
+            let engine = pmc_mincut::InterestEngine::build(&t, strategy, &m);
+            let is = pmc_mincut::InterestSearch::new(&q, &lca, &engine);
             for e in 1..g.n() as u32 {
                 let arms = is.arms(e, &m);
                 let mut cover = std::collections::HashSet::new();
@@ -229,10 +230,10 @@ proptest! {
         let lca = LcaEngine::build(&t, LcaStrategy::default(), &Meter::disabled());
         let q = pmc_mincut::CutQuery::build(&g, &t, &lca, 0.5, &Meter::disabled());
         let m = Meter::disabled();
-        let heavy =
-            pmc_mincut::InterestSearch::build(&q, &lca, InterestStrategy::HeavyPath, &m);
-        let centroid =
-            pmc_mincut::InterestSearch::build(&q, &lca, InterestStrategy::Centroid, &m);
+        let heavy_engine = pmc_mincut::InterestEngine::build(&t, InterestStrategy::HeavyPath, &m);
+        let heavy = pmc_mincut::InterestSearch::new(&q, &lca, &heavy_engine);
+        let centroid_engine = pmc_mincut::InterestEngine::build(&t, InterestStrategy::Centroid, &m);
+        let centroid = pmc_mincut::InterestSearch::new(&q, &lca, &centroid_engine);
         for e in 1..g.n() as u32 {
             let set = heavy.brute_interesting_set(e, &m);
             let path: std::collections::HashSet<u32> =
@@ -490,10 +491,7 @@ proptest! {
                 for &(x, y) in &pairs {
                     let l = lifting.lca(x, y);
                     assert_eq!(sparse.lca(x, y), l, "lca({x},{y}) at {threads} threads");
-                    assert_eq!(
-                        pmc_tree::LcaOracle::lca_metered(&sparse, x, y, &meter),
-                        l
-                    );
+                    assert_eq!(sparse.lca_metered(x, y, &meter), l);
                     assert_eq!(sparse.distance(x, y), lifting.distance(x, y));
                 }
                 meter.get(CostKind::LcaStep)

@@ -9,7 +9,7 @@
 //! an answer, only the query count.
 
 use parallel_mincut::prelude::*;
-use pmc_mincut::{CutQuery, InterestSearch};
+use pmc_mincut::{CutQuery, InterestEngine, InterestSearch};
 use pmc_tree::RootedTree;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -52,8 +52,10 @@ fn arms_agree_with_each_other_and_with_brute_force() {
         let lca = LcaEngine::build(&t, LcaStrategy::default(), &Meter::disabled());
         let q = CutQuery::build(&g, &t, &lca, 0.4, &Meter::disabled());
         let m = Meter::disabled();
-        let heavy = InterestSearch::build(&q, &lca, InterestStrategy::HeavyPath, &m);
-        let centroid = InterestSearch::build(&q, &lca, InterestStrategy::Centroid, &m);
+        let heavy_engine = InterestEngine::build(&t, InterestStrategy::HeavyPath, &m);
+        let heavy = InterestSearch::new(&q, &lca, &heavy_engine);
+        let centroid_engine = InterestEngine::build(&t, InterestStrategy::Centroid, &m);
+        let centroid = InterestSearch::new(&q, &lca, &centroid_engine);
         for e in (0..g.n() as u32).filter(|&v| v != t.root()) {
             let ah = heavy.arms(e, &m);
             let ac = centroid.arms(e, &m);
