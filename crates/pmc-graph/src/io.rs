@@ -15,6 +15,11 @@
 use crate::graph::{Graph, GraphBuilder, TOTAL_WEIGHT_LIMIT};
 use std::fmt::Write as _;
 
+/// The largest vertex count [`parse_graph`] accepts: 2^24. Building a
+/// graph allocates two `(n + 1)`-entry `u32` arrays whatever the edge
+/// count, 128 MiB at this bound, so a header alone cannot ask for more.
+pub const MAX_VERTICES: usize = 1 << 24;
+
 /// Serialization error for [`parse_graph`]. Every malformed input —
 /// truncated files, garbage records, negative weights, out-of-range
 /// endpoints, self-loops — maps to a typed variant with the failing
@@ -38,9 +43,8 @@ pub enum ParseError {
     /// The running total edge weight reached [`TOTAL_WEIGHT_LIMIT`] at
     /// this line.
     WeightTooLarge { line_no: usize },
-    /// The header's vertex count is `>= u32::MAX`: vertex ids are
-    /// `u32`, and `u32::MAX` is the tree arrays' "none" sentinel, so
-    /// the builder asserts below it. Rejected here with context.
+    /// The header's vertex count is above [`MAX_VERTICES`]. Rejected
+    /// before anything is allocated for the vertices.
     TooManyVertices { line_no: usize, n: usize },
 }
 
@@ -67,7 +71,7 @@ impl std::fmt::Display for ParseError {
                 write!(f, "line {line_no}: total edge weight reaches 2^62, beyond the solver's range")
             }
             ParseError::TooManyVertices { line_no, n } => {
-                write!(f, "line {line_no}: {n} vertices, beyond the u32 vertex-id range")
+                write!(f, "line {line_no}: {n} vertices, above the limit of {MAX_VERTICES}")
             }
         }
     }
@@ -121,7 +125,7 @@ pub fn parse_graph(text: &str) -> Result<Graph, ParseError> {
                     .next()
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| ParseError::BadLine { line_no, reason: "bad m".into() })?;
-                if n >= u32::MAX as usize {
+                if n > MAX_VERTICES {
                     return Err(ParseError::TooManyVertices { line_no, n });
                 }
                 declared_n = n;
@@ -262,9 +266,11 @@ mod tests {
         assert_eq!(parse_graph(&huge).unwrap_err(), ParseError::WeightTooLarge { line_no: 2 });
     }
 
+    /// Refused at the header, before the builder exists: from one past
+    /// [`MAX_VERTICES`] to beyond the `u32` vertex ids.
     #[test]
     fn vertex_count_beyond_u32_rejected_not_panicking() {
-        for n in [u32::MAX as usize, 1usize << 32] {
+        for n in [MAX_VERTICES + 1, u32::MAX as usize, 1usize << 32] {
             let err = parse_graph(&format!("c big\np {n} 1\ne 0 1 1\n")).unwrap_err();
             assert_eq!(err, ParseError::TooManyVertices { line_no: 2, n });
             assert!(err.to_string().contains(&n.to_string()), "{err}");

@@ -112,16 +112,32 @@ pub fn greedy_tree_packing(
         "{iterations} packing iterations: the load key needs at most 2^32 - 1"
     );
     meter.record_depth("packing:iterations", iterations as u64);
-    let sequence = pst_sequence(h, iterations, meter);
-    select_trees(h, params, &sequence)
+    let picks = picked_iterations(params, h.n(), iterations);
+    let forests = pst_sequence(h, iterations, &picks, meter);
+    select_trees(h, &forests)
+}
+
+/// The iterations whose trees reach the cut-finding stage, ascending.
+///
+/// Weight-proportional selection: evenly spaced iterations. Every tree
+/// has weight 1 in the PST packing, so spacing over iterations is
+/// spacing over packing weight; a constant fraction of that weight
+/// 2-respects the min cut (Karger), hence w.h.p. a selected tree does.
+fn picked_iterations(params: &PackingParams, n: usize, iterations: usize) -> Vec<usize> {
+    let want = params.max_trees(n).min(iterations);
+    let stride = iterations as f64 / want as f64;
+    let mut picks: Vec<usize> =
+        (0..want).map(|k| ((k as f64 * stride) as usize).min(iterations - 1)).collect();
+    picks.dedup();
+    picks
 }
 
 /// Fold the side buffer into the order past m/8 entries (m/16 timed within 6%, m/4 21% slower).
 const COMPACT_SHARE: usize = 8;
 
-/// The tree (ascending edge indices) chosen at each of `iterations` PST
-/// iterations: the packing with multiplicities.
-fn pst_sequence(h: &Graph, iterations: usize, meter: &Meter) -> Vec<Vec<u32>> {
+/// Run `iterations` PST iterations and return the tree (ascending edge
+/// indices) chosen at each iteration in `picks` (ascending), in order.
+fn pst_sequence(h: &Graph, iterations: usize, picks: &[usize], meter: &Meter) -> Vec<Vec<u32>> {
     let (n, m) = (h.n(), h.m());
     let mut uses: Vec<u64> = vec![0; m];
     // Every edge's key as of the last compaction, sorted. The key ends
@@ -135,9 +151,9 @@ fn pst_sequence(h: &Graph, iterations: usize, meter: &Meter) -> Vec<Vec<u32>> {
     let mut moved: Vec<LoadKey> = Vec::with_capacity(n - 1);
     let mut in_tree = vec![false; m];
     let mut uf = UnionFind::new(n);
-    let mut sequence = Vec::with_capacity(iterations);
+    let mut sequence = Vec::with_capacity(picks.len());
     let mut touched = 0usize;
-    for _ in 0..iterations {
+    for it in 0..iterations {
         // Kruskal over `order` and `side` read as one merged stream: the
         // key is a strict total order, so this is the unique MSF under
         // the current loads. Its edges are re-keyed as they are chosen;
@@ -173,9 +189,11 @@ fn pst_sequence(h: &Graph, iterations: usize, meter: &Meter) -> Vec<Vec<u32>> {
             }
         }
         assert_eq!(moved.len(), n - 1, "packing input must be connected");
-        let mut forest: Vec<u32> = moved.iter().map(|k| k.2).collect();
-        forest.sort_unstable();
-        sequence.push(forest);
+        if picks.get(sequence.len()) == Some(&it) {
+            let mut forest: Vec<u32> = moved.iter().map(|k| k.2).collect();
+            forest.sort_unstable();
+            sequence.push(forest);
+        }
         moved.sort_unstable();
         // Merge the re-keyed edges into `side`, dropping the entries they
         // replace there.
@@ -216,34 +234,23 @@ fn merge_from_back(base: &mut Vec<LoadKey>, extra: &[LoadKey]) {
     }
 }
 
-/// The distinct trees handed to the cut-finding stage, as edge-endpoint
-/// lists.
-fn select_trees(h: &Graph, params: &PackingParams, sequence: &[Vec<u32>]) -> Vec<Vec<(u32, u32)>> {
-    // Weight-proportional selection: evenly spaced iterations, then
-    // dedup. Every tree has weight 1 in the PST packing, so spacing over
-    // iterations is spacing over packing weight; a constant fraction of
-    // that weight 2-respects the min cut (Karger), hence w.h.p. a
-    // selected tree does.
-    let want = params.max_trees(h.n()).min(sequence.len());
-    let stride = sequence.len() as f64 / want as f64;
-    let mut seen: HashSet<Vec<u32>> = HashSet::new();
-    let mut trees = Vec::with_capacity(want);
-    for k in 0..want {
-        let idx = (k as f64 * stride) as usize;
-        let forest = &sequence[idx.min(sequence.len() - 1)];
-        if seen.insert(forest.clone()) {
-            trees.push(
-                forest
-                    .iter()
-                    .map(|&i| {
-                        let e = h.edge(i as usize);
-                        (e.u, e.v)
-                    })
-                    .collect(),
-            );
-        }
-    }
-    trees
+/// The distinct trees among `forests`, in order, as edge-endpoint
+/// lists: the trees handed to the cut-finding stage.
+fn select_trees(h: &Graph, forests: &[Vec<u32>]) -> Vec<Vec<(u32, u32)>> {
+    let mut seen: HashSet<&[u32]> = HashSet::new();
+    forests
+        .iter()
+        .filter(|forest| seen.insert(forest.as_slice()))
+        .map(|forest| {
+            forest
+                .iter()
+                .map(|&i| {
+                    let e = h.edge(i as usize);
+                    (e.u, e.v)
+                })
+                .collect()
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -300,10 +307,14 @@ mod tests {
         for g in &graphs {
             let iterations = params.iterations(g.n());
             let reference = reference_sequence(g, iterations);
-            assert_eq!(pst_sequence(g, iterations, &Meter::disabled()), reference);
+            let every: Vec<usize> = (0..iterations).collect();
+            assert_eq!(pst_sequence(g, iterations, &every, &Meter::disabled()), reference);
+            let picks = picked_iterations(&params, g.n(), iterations);
+            let picked: Vec<Vec<u32>> = picks.iter().map(|&i| reference[i].clone()).collect();
+            assert_eq!(pst_sequence(g, iterations, &picks, &Meter::disabled()), picked);
             assert_eq!(
                 greedy_tree_packing(g, &params, &Meter::disabled()),
-                select_trees(g, &params, &reference)
+                select_trees(g, &picked)
             );
         }
     }
@@ -332,8 +343,9 @@ mod tests {
             // again before a compaction replace their own `side` entries.
             (generators::near_clique(40, 0.2, 30, &mut rng), 10 * params.iterations(40)),
         ] {
+            let every: Vec<usize> = (0..iterations).collect();
             assert_eq!(
-                pst_sequence(&g, iterations, &Meter::disabled()),
+                pst_sequence(&g, iterations, &every, &Meter::disabled()),
                 reference_sequence(&g, iterations)
             );
         }

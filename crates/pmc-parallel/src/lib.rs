@@ -11,7 +11,6 @@
 //!   critical-path gauges that the algorithm crates use to report
 //!   empirical work/depth, letting the benches regenerate the paper's
 //!   Table 1 from measured counts;
-//! * [`scan`]: parallel prefix sums;
 //! * [`sort`]: a parallel LSD radix sort (the paper's sorting primitive,
 //!   \[Ble96\]), kept as a timed kernel: the solver's symmetric join
 //!   sorts with one comparison sort instead;
@@ -24,7 +23,6 @@
 
 pub mod meter;
 pub mod mst;
-pub mod scan;
 pub mod sort;
 pub mod spanning_forest;
 pub mod union_find;

@@ -7,13 +7,12 @@
 //! visits, spanning-forest edge touches, ...). A disabled meter
 //! compiles to a branch on a bool and is safe to pass everywhere.
 //!
-//! Depth is recorded per phase as the *maximum over parallel branches of
-//! the sum over sequential steps* — algorithms know their own
-//! composition structure, so they report critical-path contributions via
-//! [`Meter::record_depth`] (take-max) and [`Meter::add_depth`]
-//! (accumulate a sequential stage). The result is an empirical proxy for
-//! PRAM depth that scales the way the theorems predict, which is what
-//! the depth experiments check.
+//! Depth is recorded per phase as the *maximum over parallel branches* —
+//! algorithms know their own composition structure, so they report each
+//! branch's critical-path length via [`Meter::record_depth`] (take-max),
+//! and [`CostReport::total_depth`] sums the phases, which run back to
+//! back. The result is an empirical proxy for PRAM depth that scales the
+//! way the theorems predict, which is what the depth experiments check.
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -165,15 +164,6 @@ impl Meter {
         }
     }
 
-    /// Add to the critical path of `phase` (sequential composition:
-    /// depth is the sum over stages).
-    pub fn add_depth(&self, phase: &'static str, depth: u64) {
-        if self.enabled {
-            let mut m = self.depths.lock();
-            *m.entry(phase).or_insert(0) += depth;
-        }
-    }
-
     /// Current value of one counter.
     pub fn get(&self, kind: CostKind) -> u64 {
         // Relaxed: a statistical snapshot; callers read after the
@@ -289,8 +279,7 @@ mod tests {
         m.record_depth("pack", 7);
         m.record_depth("pack", 5);
         assert_eq!(m.report().depth["pack"], 7);
-        m.add_depth("cut", 2);
-        m.add_depth("cut", 3);
+        m.record_depth("cut", 5);
         assert_eq!(m.report().depth["cut"], 5);
         assert_eq!(m.report().total_depth(), 12);
     }

@@ -33,15 +33,15 @@ where
     out
 }
 
-/// Kruskal by static edge weight (ties broken by index).
-pub fn kruskal_msf(g: &Graph) -> Vec<u32> {
-    kruskal_msf_by(g, |i| (g.edge(i).w, i as u32))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pmc_graph::generators;
+
+    /// Kruskal by static edge weight (ties broken by index).
+    fn by_weight(g: &Graph) -> Vec<u32> {
+        kruskal_msf_by(g, |i| g.edge(i).w)
+    }
 
     #[test]
     fn custom_key_inverts_order() {
@@ -54,28 +54,28 @@ mod tests {
     #[test]
     fn disconnected_forest() {
         let g = Graph::from_edges(5, [(0, 1, 2), (1, 2, 2), (3, 4, 2)]);
-        assert_eq!(kruskal_msf(&g).len(), 3);
+        assert_eq!(by_weight(&g).len(), 3);
     }
 
     #[test]
     fn empty_and_trivial() {
         let g = Graph::from_edges(3, []);
-        assert!(kruskal_msf(&g).is_empty());
+        assert!(by_weight(&g).is_empty());
         let g0 = Graph::from_edges(0, []);
-        assert!(kruskal_msf(&g0).is_empty());
+        assert!(by_weight(&g0).is_empty());
     }
 
     #[test]
     fn parallel_multigraph_edges() {
         let g = Graph::from_edges(2, [(0, 1, 5), (0, 1, 2), (0, 1, 9)]);
-        assert_eq!(kruskal_msf(&g), vec![1]); // lightest parallel edge
+        assert_eq!(by_weight(&g), vec![1]); // lightest parallel edge
     }
 
     #[test]
     fn load_based_keys_change_tree() {
         // Simulate packing: penalize previously used edges.
         let g = generators::cycle(6, 1);
-        let first = kruskal_msf(&g);
+        let first = by_weight(&g);
         let loads: Vec<u64> = (0..g.m()).map(|i| if first.contains(&(i as u32)) { 1 } else { 0 }).collect();
         let second = kruskal_msf_by(&g, |i| (loads[i], g.edge(i).w, i as u32));
         // The second tree must prefer the unused edge.

@@ -208,10 +208,10 @@ mod tests {
     fn concurrent_union_returns_true_once_per_merge() {
         // Hammer the same pair from many threads; exactly one wins.
         let cuf = ConcurrentUnionFind::new(2);
-        let wins: usize = (0..64)
+        let wins: usize = (0..64u32)
             .into_par_iter()
-            .map(|_| if cuf.union(0, 1) { 1 } else { 0 })
-            .sum();
+            .map(|_| usize::from(cuf.union(0, 1)))
+            .reduce(|| 0, |a, b| a + b);
         assert_eq!(wins, 1);
     }
 
@@ -219,7 +219,7 @@ mod tests {
     fn concurrent_components_count() {
         let cuf = ConcurrentUnionFind::new(10);
         // Two chains: 0-4, 5-9.
-        (0..4u32).chain(5..9).par_bridge().for_each(|i| {
+        (0..9u32).into_par_iter().filter(|&i| i != 4).for_each(|i| {
             cuf.union(i, i + 1);
         });
         assert_eq!(cuf.num_components(), 2);
@@ -241,8 +241,10 @@ mod tests {
             }
         }
         let cuf = ConcurrentUnionFind::new(n as usize);
-        let tree_edges: usize =
-            edges.par_iter().map(|&(a, b)| if cuf.union(a, b) { 1 } else { 0 }).sum();
+        let tree_edges = edges
+            .par_iter()
+            .map(|&(a, b)| usize::from(cuf.union(a, b)))
+            .reduce(|| 0, |a, b| a + b);
         assert_eq!(tree_edges, n as usize - 1);
     }
 }

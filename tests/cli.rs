@@ -54,7 +54,7 @@ fn gen_rejects_sizes_below_each_generators_minimum() {
 fn stats_rejects_a_vertex_count_beyond_u32() {
     let graph = temp_path("huge-n.txt");
     let graph_arg = graph.to_str().expect("utf-8 temp path");
-    for header in ["p 4294967295 1", "p 4294967296 1", "p 5000000000 0"] {
+    for header in ["p 4294967294 0", "p 4294967295 1", "p 4294967296 1", "p 5000000000 0"] {
         std::fs::write(&graph, format!("{header}\ne 0 1 1\n")).expect("temp file written");
         let out = pmc(&["stats", graph_arg]);
         let stderr = String::from_utf8_lossy(&out.stderr);

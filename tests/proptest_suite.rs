@@ -310,17 +310,9 @@ proptest! {
         prop_assert_eq!(g.n(), g2.n());
     }
 
-    /// Parallel prefix sums and radix sort match std equivalents.
+    /// The radix sort matches the std sort.
     #[test]
-    fn scan_and_sort_match_std(values in prop::collection::vec(0u64..1_000_000, 0..2000)) {
-        let scanned = pmc_parallel::scan::exclusive_scan(&values);
-        let mut acc = 0u64;
-        for (i, &v) in values.iter().enumerate() {
-            prop_assert_eq!(scanned[i], acc);
-            acc += v;
-        }
-        prop_assert_eq!(scanned[values.len()], acc);
-
+    fn radix_sort_matches_std(values in prop::collection::vec(0u64..1_000_000, 0..2000)) {
         let mut sorted = values.clone();
         pmc_parallel::sort::radix_sort_lsd(&mut sorted, |&k| k);
         let mut expect = values.clone();

@@ -6,7 +6,6 @@
 //! isolation; this suite checks the properties the *algorithm crates*
 //! rely on, through the same entry points they use.
 
-use parallel_mincut::parallel::scan::exclusive_scan_in_place;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -54,8 +53,8 @@ fn one_thread_pool_stays_single_threaded() {
     assert_eq!(seen.lock().unwrap().len(), 1);
 }
 
-/// Deterministic results: `collect`, `reduce`, and `sum` byte-identical
-/// to the sequential run across seeds and thread counts.
+/// Deterministic results: `collect` and `reduce` (a min and a sum)
+/// byte-identical to the sequential run across seeds and thread counts.
 #[test]
 fn collect_and_reduce_deterministic_across_thread_counts() {
     for seed in [11, 12, 13] {
@@ -63,7 +62,7 @@ fn collect_and_reduce_deterministic_across_thread_counts() {
         let data: Vec<u64> = (0..50_000).map(|_| rng.random_range(0..1_000_000)).collect();
         let expect_collect: Vec<u64> =
             data.iter().map(|&x| x.wrapping_mul(0x9E37_79B9)).filter(|x| x % 7 != 0).collect();
-        let expect_min = data.iter().copied().min();
+        let expect_min = data.iter().copied().fold(u64::MAX, u64::min);
         let expect_sum: u64 = data.iter().sum();
         for threads in [1, 2, 4] {
             let (got_collect, got_min, got_sum) = with_pool(threads, || {
@@ -72,36 +71,13 @@ fn collect_and_reduce_deterministic_across_thread_counts() {
                     .map(|&x| x.wrapping_mul(0x9E37_79B9))
                     .filter(|x| x % 7 != 0)
                     .collect();
-                let m = data.par_iter().copied().reduce_with(u64::min);
-                let s: u64 = data.par_iter().sum();
+                let m = data.par_iter().map(|&x| x).reduce(|| u64::MAX, u64::min);
+                let s = data.par_iter().map(|&x| x).reduce(|| 0, |a, b| a + b);
                 (c, m, s)
             });
             assert_eq!(got_collect, expect_collect, "collect seed={seed} threads={threads}");
             assert_eq!(got_min, expect_min, "reduce seed={seed} threads={threads}");
             assert_eq!(got_sum, expect_sum, "sum seed={seed} threads={threads}");
-        }
-    }
-}
-
-/// `exclusive_scan_in_place` (chunked two-pass scan over the shim)
-/// byte-identical to the sequential recurrence at parallel sizes.
-#[test]
-fn exclusive_scan_deterministic_across_thread_counts() {
-    for seed in [21, 22] {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let data: Vec<u64> = (0..40_000).map(|_| rng.random_range(0..1000)).collect();
-        let mut expect = data.clone();
-        let mut acc = 0u64;
-        for x in expect.iter_mut() {
-            let v = *x;
-            *x = acc;
-            acc += v;
-        }
-        for threads in [1, 2, 4] {
-            let mut got = data.clone();
-            let total = with_pool(threads, || exclusive_scan_in_place(&mut got));
-            assert_eq!(total, acc, "seed={seed} threads={threads}");
-            assert_eq!(got, expect, "seed={seed} threads={threads}");
         }
     }
 }
@@ -158,34 +134,32 @@ proptest! {
                 .with_max_len(max_len)
                 .map(|x| u64::from(x) * 3)
                 .filter(|x| x % 5 != 0)
-                .sum();
+                .reduce(|| 0, |a, b| a + b);
             (v, s)
         });
         prop_assert_eq!(got, expect);
         prop_assert_eq!(got_sum, expect_sum);
     }
 
-    /// Chunked mutation under forced splits: every chunk visited
-    /// exactly once, in disjoint regions.
+    /// Chunked views under forced splits: every chunk visited exactly
+    /// once, under its own index, in order.
     #[test]
-    fn forced_small_cutoffs_chunks_mut(
+    fn forced_small_cutoffs_chunks(
         len in 1usize..400,
         chunk in 1usize..16,
         max_len in 1usize..6,
         threads in 1usize..6,
     ) {
-        let mut data = vec![0u32; len];
-        with_pool(threads, || {
-            data.par_chunks_mut(chunk)
+        let data = vec![0u32; len];
+        let got: Vec<u32> = with_pool(threads, || {
+            data.par_chunks(chunk)
                 .with_max_len(max_len)
                 .enumerate()
-                .for_each(|(c, items)| {
-                    for x in items.iter_mut() {
-                        *x += 1 + c as u32;
-                    }
-                });
+                .flat_map_iter(|(c, items)| items.iter().map(move |&x| x + 1 + c as u32))
+                .collect()
         });
-        for (i, &v) in data.iter().enumerate() {
+        prop_assert_eq!(got.len(), len);
+        for (i, &v) in got.iter().enumerate() {
             prop_assert_eq!(v, 1 + (i / chunk) as u32, "index {}", i);
         }
     }
