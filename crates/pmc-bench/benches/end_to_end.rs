@@ -3,10 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pmc_bench::workloads;
-use pmc_graph::{karger_stein_mincut, stoer_wagner_mincut};
+use pmc_graph::stoer_wagner_mincut;
 use pmc_mincut::{exact_mincut, ExactParams};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::hint::black_box;
 
 fn bench_exact(c: &mut Criterion) {
@@ -30,10 +28,6 @@ fn bench_baselines(c: &mut Criterion) {
     let w = workloads::non_sparse(128, 24);
     group.bench_function("stoer_wagner-128", |b| {
         b.iter(|| black_box(stoer_wagner_mincut(&w.graph)))
-    });
-    group.bench_function("karger_stein-128", |b| {
-        let mut rng = StdRng::seed_from_u64(25);
-        b.iter(|| black_box(karger_stein_mincut(&w.graph, 3, &mut rng)))
     });
     group.bench_function("exact_pipeline-128", |b| {
         b.iter(|| black_box(exact_mincut(&w.graph, &ExactParams::default())))

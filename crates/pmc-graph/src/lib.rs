@@ -12,8 +12,6 @@
 //!   planted-cut communities, grids, hypercubes, cliques, ...),
 //! * [`stoer_wagner`]: the classic deterministic `O(n^3)` global
 //!   minimum-cut algorithm, used as the correctness oracle,
-//! * [`karger_stein`]: randomized recursive contraction, the classic
-//!   Monte-Carlo baseline occupying the "old world" row of comparisons,
 //! * [`matula`]: Matula's sequential `(2+ε)`-approximation (\[Mat93\],
 //!   the paper's §1 reference point for approximation),
 //! * [`io`]: a small DIMACS-like text format for graph exchange.
@@ -24,12 +22,10 @@
 pub mod generators;
 pub mod graph;
 pub mod io;
-pub mod karger_stein;
 pub mod matula;
 pub mod stoer_wagner;
 
 pub use graph::{cut_of_partition, Edge, Graph, GraphBuilder, VertexId, TOTAL_WEIGHT_LIMIT};
-pub use karger_stein::karger_stein_mincut;
 pub use matula::{matula_approx, matula_approx_rounds};
 pub use stoer_wagner::stoer_wagner_mincut;
 

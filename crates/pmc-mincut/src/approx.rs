@@ -27,7 +27,7 @@ use pmc_graph::Graph;
 use pmc_parallel::meter::Meter;
 use pmc_sparsify::certificate::k_certificate;
 use pmc_sparsify::hierarchy::{CertificateHierarchy, ExclusiveHierarchy, HierarchyParams};
-use pmc_sparsify::skeleton::{skeleton, skeleton_probability};
+use pmc_sparsify::skeleton::{skeleton, skeleton_cap, skeleton_probability};
 use rayon::prelude::*;
 
 /// Parameters of the approximation phase.
@@ -192,8 +192,7 @@ pub fn approx_mincut_eps(
         // The graph is already in the exactly-measurable regime.
         return exact();
     }
-    let cap_scale = (c * (g.n().max(2) as f64).ln() / (eps * eps)).ceil();
-    let cap = (8.0 * cap_scale) as u64;
+    let cap = skeleton_cap(g.n(), eps, c);
     let h = skeleton(g, p, cap, seed, meter);
     let hc = k_certificate(&h, 2 * cap, meter);
     let value = mincut_small(&hc, &params.two_respect, &params.packing, meter).value;

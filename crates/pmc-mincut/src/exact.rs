@@ -29,7 +29,7 @@ use pmc_fault::{Deadline, DegradeReason, PmcError, SolveQuality};
 use pmc_graph::{matula_approx_rounds, CutResult, Graph};
 use pmc_parallel::meter::{CostKind, Meter};
 use pmc_sparsify::certificate::k_certificate;
-use pmc_sparsify::skeleton::{skeleton, skeleton_probability};
+use pmc_sparsify::skeleton::{skeleton, skeleton_cap, skeleton_probability};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -151,18 +151,6 @@ pub fn exact_mincut_in(ctx: &GraphContext<'_>, params: &ExactParams, meter: &Met
     exact_mincut_deadline_in(ctx, params, &Deadline::never(), meter)
 }
 
-/// [`exact_mincut`] under a cooperative [`Deadline`]: one-shot wrapper
-/// over [`exact_mincut_deadline_in`].
-pub fn exact_mincut_deadline(
-    g: &Graph,
-    params: &ExactParams,
-    deadline: &Deadline,
-    meter: &Meter,
-) -> ExactResult {
-    let ctx = GraphContext::build(g, meter);
-    exact_mincut_deadline_in(&ctx, params, deadline, meter)
-}
-
 /// Map a phase-boundary [`Deadline::check`] error onto the degradation
 /// flag. Only the deadline/budget variants can come out of `check`; the
 /// defensive arm keeps the mapping total.
@@ -231,8 +219,7 @@ pub fn exact_mincut_deadline_in(
     }
     pmc_fault::point("engine:phase2_skeleton");
     let eps = params.skeleton_eps;
-    let cap_scale = (params.skeleton_c * (gc.n().max(2) as f64).ln() / (eps * eps)).ceil();
-    let cap = (8.0 * cap_scale) as u64;
+    let cap = skeleton_cap(gc.n(), eps, params.skeleton_c);
     let mut p = skeleton_probability(gc.n(), eps, lambda_est, params.skeleton_c);
     let mut h = skeleton(gc, p, cap, params.seed, meter);
     let mut retries = 0;

@@ -54,8 +54,8 @@ pub use approx::{approx_mincut, approx_mincut_eps, approx_mincut_in, ApproxParam
 pub use cutquery::CutQuery;
 pub use engine::{GraphContext, TreeContext};
 pub use exact::{
-    exact_mincut, exact_mincut_deadline, exact_mincut_deadline_in, exact_mincut_in,
-    exact_mincut_metered, mincut_small, mincut_small_in, ExactParams, ExactResult,
+    exact_mincut, exact_mincut_deadline_in, exact_mincut_in, exact_mincut_metered, mincut_small,
+    mincut_small_in, ExactParams, ExactResult,
 };
 // The robustness vocabulary (shared with every crate through
 // `pmc-fault`) re-exported where solver callers already look.
@@ -63,6 +63,4 @@ pub use pmc_fault::{Deadline, DegradeReason, FaultPlan, PmcError, SolveQuality};
 pub use robust::exact_mincut_robust;
 pub use interest::{Arms, InterestEngine, InterestSearch, InterestStrategy};
 pub use packing::{greedy_tree_packing, PackingParams};
-pub use two_respect::{
-    naive_two_respecting, two_respecting_mincut, two_respecting_mincut_in, TwoRespectParams,
-};
+pub use two_respect::{naive_two_respecting, two_respecting_mincut, TwoRespectParams};

@@ -19,7 +19,8 @@
 //! an unflagged partial answer — the property the chaos suite sweeps
 //! seeded fault plans against.
 
-use crate::exact::{exact_mincut_deadline, ExactParams, ExactResult, ExactStats};
+use crate::engine::GraphContext;
+use crate::exact::{exact_mincut_deadline_in, ExactParams, ExactResult, ExactStats};
 use pmc_fault::{Deadline, DegradeReason, InjectedPanic, PmcError, SolveQuality};
 use pmc_graph::{CutResult, Graph};
 use pmc_parallel::meter::Meter;
@@ -52,7 +53,8 @@ pub fn exact_mincut_robust(
     meter: &Meter,
 ) -> Result<ExactResult, PmcError> {
     let attempt = catch_unwind(AssertUnwindSafe(|| {
-        exact_mincut_deadline(g, params, deadline, meter)
+        let ctx = GraphContext::build(g, meter);
+        exact_mincut_deadline_in(&ctx, params, deadline, meter)
     }));
     match attempt {
         Ok(result) => Ok(result),

@@ -130,20 +130,19 @@ impl Best {
 /// One-shot wrapper: builds a [`TreeContext`] (parallel sub-builds) and
 /// solves once. Callers that solve repeatedly — or query the same tree
 /// — should build the context themselves and use
-/// [`two_respecting_mincut_in`] / [`TreeContext::solve`].
+/// [`TreeContext::solve`].
 pub fn two_respecting_mincut(
     g: &Graph,
     tree: &RootedTree,
     params: &TwoRespectParams,
     meter: &Meter,
 ) -> TwoRespectOutcome {
-    let ctx = TreeContext::build(g, Arc::new(tree.clone()), params, meter);
-    two_respecting_mincut_in(&ctx, meter)
+    TreeContext::build(g, Arc::new(tree.clone()), params, meter).solve(meter)
 }
 
-/// [`two_respecting_mincut`] over a prebuilt [`TreeContext`]: pure
-/// query work, no per-call construction.
-pub fn two_respecting_mincut_in(ctx: &TreeContext<'_>, meter: &Meter) -> TwoRespectOutcome {
+/// The body of [`TreeContext::solve`]: pure query work over the prebuilt
+/// context, no per-call construction.
+pub(crate) fn two_respecting_mincut_in(ctx: &TreeContext<'_>, meter: &Meter) -> TwoRespectOutcome {
     let tree = ctx.tree();
     let q = ctx.cut_query();
     if meter.is_enabled() {

@@ -21,4 +21,4 @@ pub mod skeleton;
 pub use binomial::{binomial, binomial_capped};
 pub use certificate::k_certificate;
 pub use hierarchy::{CertificateHierarchy, ExclusiveHierarchy, HierarchyParams};
-pub use skeleton::{skeleton, skeleton_probability};
+pub use skeleton::{skeleton, skeleton_cap, skeleton_probability};

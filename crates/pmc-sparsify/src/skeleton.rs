@@ -25,6 +25,12 @@ pub fn skeleton_probability(n: usize, eps: f64, lambda_hint: u64, c: f64) -> f64
     p.min(1.0)
 }
 
+/// Observation 4.22's skeleton weight cap, `8 · ⌈c · ln n / ε²⌉`: the
+/// `cap` the solver passes to [`skeleton`].
+pub fn skeleton_cap(n: usize, eps: f64, c: f64) -> u64 {
+    (8.0 * (c * (n.max(2) as f64).ln() / (eps * eps)).ceil()) as u64
+}
+
 /// Build a skeleton: edge `e` receives weight `min(B(w(e), p), cap)`.
 ///
 /// Pass `cap = u64::MAX` for the uncapped Theorem 2.4 skeleton; the
@@ -73,6 +79,15 @@ mod tests {
         let p = skeleton_probability(1000, 1.0, 1000, 3.0);
         assert!((p - 3.0 * (1000f64).ln() / 1000.0).abs() < 1e-12);
         assert_eq!(skeleton_probability(1000, 1.0, 1, 100.0), 1.0);
+    }
+
+    #[test]
+    fn cap_formula() {
+        for (n, eps, c) in [(0, 1.0, 3.0), (1, 0.5, 3.0), (2, 1.0, 3.0), (150, 0.5, 3.0), (800, 0.2, 24.0)] {
+            let scale = (c * (n.max(2) as f64).ln() / (eps * eps)).ceil();
+            assert_eq!(skeleton_cap(n, eps, c), (8.0 * scale) as u64, "n={n} eps={eps} c={c}");
+        }
+        assert_eq!(skeleton_cap(150, 0.5, 3.0), 8 * 61);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! Re-exports the workspace crates under one roof so the examples and
 //! integration tests read like downstream user code:
 //!
-//! * [`graph`] — weighted graphs, generators, Stoer–Wagner and
-//!   Karger–Stein baselines;
+//! * [`graph`] — weighted graphs, generators, the Stoer–Wagner oracle
+//!   and Matula's approximation;
 //! * [`parallel`] — work-span metering and parallel primitives;
 //! * [`tree`] — rooted-tree machinery (Euler tours, LCA, path and
 //!   centroid decompositions);
@@ -38,15 +38,15 @@ pub use pmc_tree as tree;
 /// The names most programs need.
 pub mod prelude {
     pub use pmc_graph::{
-        cut_of_partition, generators, karger_stein_mincut, matula_approx,
+        cut_of_partition, generators, matula_approx,
         stoer_wagner_mincut, CutResult, Graph, GraphBuilder,
     };
     pub use pmc_mincut::{
         approx_mincut, approx_mincut_eps, approx_mincut_in, exact_mincut,
-        exact_mincut_deadline, exact_mincut_in, exact_mincut_robust, mincut_small,
-        mincut_small_in, naive_two_respecting, two_respecting_mincut,
-        two_respecting_mincut_in, ApproxParams, ApproxResult, ExactParams,
-        ExactResult, GraphContext, InterestStrategy, TreeContext, TwoRespectParams,
+        exact_mincut_in, exact_mincut_robust, mincut_small, mincut_small_in,
+        naive_two_respecting, two_respecting_mincut, ApproxParams, ApproxResult,
+        ExactParams, ExactResult, GraphContext, InterestStrategy, TreeContext,
+        TwoRespectParams,
     };
     pub use pmc_fault::{Deadline, DegradeReason, FaultPlan, PmcError, SolveQuality};
     pub use pmc_parallel::{CostKind, CostReport, Meter};

@@ -76,16 +76,12 @@ fn exact_robust_across_pipeline_seeds() {
 }
 
 #[test]
-fn three_algorithms_agree() {
+fn pipeline_agrees_with_stoer_wagner() {
     let mut rng = StdRng::seed_from_u64(9004);
     for trial in 0..5 {
         let g = generators::gnm_connected(18, 60, 7, &mut rng);
         let sw = stoer_wagner_mincut(&g).value;
-        let ks =
-            karger_stein_mincut(&g, pmc_graph::karger_stein::default_trials(g.n()), &mut rng)
-                .value;
         let ex = exact_mincut(&g, &ExactParams::default()).cut.value;
-        assert_eq!(sw, ks, "trial {trial} karger-stein");
         assert_eq!(sw, ex, "trial {trial} pipeline");
     }
 }

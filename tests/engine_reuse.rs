@@ -95,7 +95,7 @@ fn tree_context_reuse_matches_free_function() {
         for threads in [1usize, 4] {
             let (a, b) = with_pool(threads, || {
                 let ctx = TreeContext::build(&g, Arc::clone(&tree), &params, &m);
-                (two_respecting_mincut_in(&ctx, &m), ctx.solve(&m))
+                (ctx.solve(&m), ctx.solve(&m))
             });
             assert_eq!(a.cut, reference.cut, "{name}: ctx solve at {threads} threads");
             assert_eq!(a.pair, b.pair, "{name}: repeated solves disagree on the witness");

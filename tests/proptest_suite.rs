@@ -280,21 +280,6 @@ proptest! {
         }
     }
 
-    /// Karger–Stein never undershoots and the pipeline equals it on its
-    /// high-confidence settings.
-    #[test]
-    fn karger_stein_upper_bounds(
-        n in 5usize..14,
-        extra in 0usize..25,
-        seed in 0u64..300,
-    ) {
-        let g = graph_from(n, extra, 6, seed);
-        let expect = stoer_wagner_mincut(&g).value;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let ks = karger_stein_mincut(&g, 2, &mut rng);
-        prop_assert!(ks.value >= expect);
-    }
-
     /// Graph text format round-trips arbitrary graphs.
     #[test]
     fn io_round_trip(

@@ -13,7 +13,7 @@ use rand::SeedableRng;
 
 /// Every prelude name used below comes from a different member crate,
 /// so this single test transitively checks the whole dependency graph:
-/// `pmc-graph` (generators, Stoer–Wagner, Karger–Stein, Matula),
+/// `pmc-graph` (generators, Stoer–Wagner, Matula),
 /// `pmc-parallel` (Meter), and `pmc-mincut` (approx + exact pipeline,
 /// which pulls in `pmc-tree`, `pmc-range`, `pmc-monge`,
 /// `pmc-sparsify`).
@@ -47,10 +47,7 @@ fn prelude_pipeline_agreement_on_random_graphs() {
             oracle.value,
         );
 
-        // Monte-Carlo and approximation baselines stay on the right
-        // side of the oracle.
-        let ks = karger_stein_mincut(&g, 2, &mut rng);
-        assert!(ks.value >= oracle.value, "seed {seed}");
+        // Matula's approximation stays on the right side of the oracle.
         let matula = matula_approx(&g, 0.5);
         assert!(matula >= oracle.value, "seed {seed}");
         assert!(matula <= oracle.value * 3, "seed {seed}");
