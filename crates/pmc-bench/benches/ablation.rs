@@ -1,11 +1,11 @@
-//! Criterion ablations: decomposition strategies, ε, and the interest
-//! filter — all on one fixed 2-respecting solve.
+//! Criterion ablations: ε and the interest filter — all on one fixed
+//! 2-respecting solve.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pmc_bench::workloads::graph_with_tree;
-use pmc_mincut::{naive_two_respecting, two_respecting_mincut, InterestStrategy, TwoRespectParams};
+use pmc_mincut::{naive_two_respecting, two_respecting_mincut, TwoRespectParams};
 use pmc_parallel::Meter;
-use pmc_tree::{PathStrategy, RootedTree};
+use pmc_tree::RootedTree;
 use std::hint::black_box;
 
 fn bench_ablation(c: &mut Criterion) {
@@ -17,17 +17,6 @@ fn bench_ablation(c: &mut Criterion) {
 
     let variants: Vec<(&str, TwoRespectParams)> = vec![
         ("default", TwoRespectParams::default()),
-        (
-            "heavy_path_interest",
-            TwoRespectParams {
-                interest_strategy: InterestStrategy::HeavyPath,
-                ..TwoRespectParams::default()
-            },
-        ),
-        (
-            "bough",
-            TwoRespectParams { strategy: PathStrategy::Bough, ..TwoRespectParams::default() },
-        ),
         ("eps_0.1", TwoRespectParams { eps: 0.1, ..TwoRespectParams::default() }),
         ("eps_0.75", TwoRespectParams { eps: 0.75, ..TwoRespectParams::default() }),
     ];

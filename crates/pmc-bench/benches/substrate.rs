@@ -28,10 +28,7 @@ fn bench_decompositions(c: &mut Criterion) {
     let t = random_tree(100_000, 7);
     let m = Meter::disabled();
     group.bench_function("heavy_path", |b| {
-        b.iter(|| black_box(PathDecomposition::build(&t, PathStrategy::HeavyPath, &m)))
-    });
-    group.bench_function("bough", |b| {
-        b.iter(|| black_box(PathDecomposition::build(&t, PathStrategy::Bough, &m)))
+        b.iter(|| black_box(PathDecomposition::build(&t, PathStrategy::default(), &m)))
     });
     group.bench_function("centroid", |b| {
         b.iter(|| black_box(CentroidDecomposition::build(&t, &m)))

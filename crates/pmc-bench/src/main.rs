@@ -159,10 +159,10 @@ fn eps_sweep(o: &Opts) {
 }
 
 /// E-ablate. Every variant must agree with the all-pairs oracle
-/// (asserted inside the runner), so the strategy comparison cannot rot;
+/// (asserted inside the runner), so the comparison cannot rot;
 /// `--smoke` runs a reduced size for CI and also gates the LCA
-/// substrate: sparse-table steps strictly below lifting's on the same
-/// query stream.
+/// substrate: sparse-table steps strictly below lifting's on the
+/// coverage pass's query stream.
 fn ablation(o: &Opts) {
     let n = match o.smoke {
         Some(n) => n.unwrap_or(128),
@@ -173,10 +173,9 @@ fn ablation(o: &Opts) {
     report(
         t,
         "Ablations — one 2-respecting solve, all variants must agree on the value",
-        "the naive row shows the work the interest filter removes;\n\
-         the centroid vs heavy-path rows meter Claim 4.13's O(log n) arm tracing against\n\
-         the O(log² n) fallback ('interest qs'); the lifting-LCA row shows the per-query\n\
-         step count the sparse table collapses to one ('lca steps').",
+        "the naive row shows the work the interest filter removes; 'interest qs' meters\n\
+         Claim 4.13's O(log n) arm tracing; 'lca steps' is one per sparse-table query,\n\
+         where binary lifting would take levels() per query (--smoke prints both totals).",
     );
     if o.smoke.is_some() {
         assert!(

@@ -241,10 +241,10 @@ pub fn heavy_cycle_with_chords(
 /// of weight `chord_w` covers the whole spine, making every spine
 /// edge's interesting path span all the others.
 ///
-/// This is the adversarial input for heavy-path interest descent: an
+/// This is the adversarial input for a heavy-path interest descent: an
 /// arm crosses `Θ(levels)` heavy chains and each crossing pays a
 /// binary search, i.e. `Θ(levels²)` cut queries per edge, while
-/// centroid descent stays `O(levels)` — the gap the complexity
+/// centroid descent stays `O(levels)` — the bound the complexity
 /// regression suite meters. `n = 3·2^levels − 2`.
 ///
 /// Returns the graph, the parent array of the intended spanning tree

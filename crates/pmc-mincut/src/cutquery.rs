@@ -337,8 +337,8 @@ mod tests {
         Arc::new(RootedTree::from_edge_list(g.n(), &edges, root))
     }
 
-    fn lifting(t: &RootedTree) -> LcaEngine {
-        LcaEngine::build(t, LcaStrategy::Lifting, &Meter::disabled())
+    fn lca_of(t: &RootedTree) -> LcaEngine {
+        LcaEngine::build(t, LcaStrategy::default(), &Meter::disabled())
     }
 
     /// Brute-force cov(e): edges with exactly one endpoint below v.
@@ -372,34 +372,18 @@ mod tests {
         for trial in 0..10 {
             let g = generators::gnm_connected(30, 60, 9, &mut rng);
             let t = spanning_tree_of(&g, trial % 30);
-            let lca = lifting(&t);
-            let q = CutQuery::build(&g, &t, &lca, 0.3, &Meter::disabled());
+            let lca = lca_of(&t);
+            let meter = Meter::enabled();
+            let q = CutQuery::build(&g, &t, &lca, 0.3, &meter);
             for v in 0..30u32 {
                 if v == t.root() {
                     continue;
                 }
                 assert_eq!(q.cov(v), brute_cov(&g, &t, v), "trial {trial} vertex {v}");
             }
-            // Through the engine, under both strategies: same coverage,
-            // and the pass probes each graph edge once — one step per
-            // sparse-table probe, `levels()` per lifting probe.
-            for strategy in [LcaStrategy::SparseTable, LcaStrategy::Lifting] {
-                let engine = LcaEngine::build(&t, strategy, &Meter::disabled());
-                let meter = Meter::enabled();
-                let qe = CutQuery::build(&g, &t, &engine, 0.3, &meter);
-                let steps_per_query = match strategy {
-                    LcaStrategy::SparseTable => 1,
-                    LcaStrategy::Lifting => engine.table().levels() as u64,
-                };
-                assert_eq!(
-                    meter.get(CostKind::LcaStep),
-                    g.m() as u64 * steps_per_query,
-                    "trial {trial} {strategy:?}"
-                );
-                for v in 0..30u32 {
-                    assert_eq!(qe.cov(v), q.cov(v), "trial {trial} {strategy:?} vertex {v}");
-                }
-            }
+            // The coverage pass probes each graph edge once, one step per
+            // sparse-table probe.
+            assert_eq!(meter.get(CostKind::LcaStep), g.m() as u64, "trial {trial}");
         }
     }
 
@@ -409,7 +393,7 @@ mod tests {
         for trial in 0..6 {
             let g = generators::gnm_connected(18, 40, 7, &mut rng);
             let t = spanning_tree_of(&g, 0);
-            let lca = lifting(&t);
+            let lca = lca_of(&t);
             let q = CutQuery::build(&g, &t, &lca, 0.5, &Meter::disabled());
             let m = Meter::disabled();
             for e in 1..18u32 {
@@ -432,7 +416,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(103);
         let g = generators::gnm_connected(25, 70, 5, &mut rng);
         let t = spanning_tree_of(&g, 0);
-        let lca = lifting(&t);
+        let lca = lca_of(&t);
         let q = CutQuery::build(&g, &t, &lca, 0.4, &Meter::disabled());
         let m = Meter::disabled();
         for e in 1..25u32 {
@@ -447,7 +431,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(104);
         let g = generators::gnm_connected(16, 35, 6, &mut rng);
         let t = spanning_tree_of(&g, 0);
-        let lca = lifting(&t);
+        let lca = lca_of(&t);
         let q = CutQuery::build(&g, &t, &lca, 0.5, &Meter::disabled());
         let m = Meter::disabled();
         for e in 1..16u32 {
@@ -475,7 +459,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(105);
         let g = generators::gnm_connected(20, 50, 4, &mut rng);
         let t = spanning_tree_of(&g, 0);
-        let lca = lifting(&t);
+        let lca = lca_of(&t);
         let q = CutQuery::build(&g, &t, &lca, 0.5, &Meter::disabled());
         for v in 1..20u32 {
             // cut(e, e) degenerates to the 1-respecting cut.
@@ -493,7 +477,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(106);
         let g = generators::gnm_connected(60, 90, 8, &mut rng);
         let t = spanning_tree_of(&g, 0);
-        let lca = lifting(&t);
+        let lca = lca_of(&t);
         let m = Meter::disabled();
         let q1 = CutQuery::build(&g, &t, &lca, 0.12, &m);
         let q2 = CutQuery::build(&g, &t, &lca, 0.9, &m);
@@ -526,7 +510,7 @@ mod tests {
             // A spanning-forest tree and a path tree (every pair nested).
             let path: Vec<u32> = (0..n).map(|v| v.saturating_sub(1)).collect();
             for t in [spanning_tree_of(&g, n / 2), Arc::new(RootedTree::from_parents(0, &path))] {
-                let lca = lifting(&t);
+                let lca = lca_of(&t);
                 let q = CutQuery::build(&g, &t, &lca, 0.5, &Meter::disabled());
                 assert_eq!(q.range_height() == 1, on_table, "{name}: height {}", q.range_height());
                 let m = Meter::disabled();
@@ -548,7 +532,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(110);
         let g = generators::near_clique(40, 0.2, 50, &mut rng);
         let t = spanning_tree_of(&g, 7);
-        let lca = lifting(&t);
+        let lca = lca_of(&t);
         let build = Meter::enabled();
         let q = CutQuery::build(&g, &t, &lca, 0.5, &build);
         assert_eq!(q.range_height(), 1, "a near-clique takes the table");
@@ -599,7 +583,7 @@ mod tests {
         assert_eq!(g.edges().iter().map(|e| e.w).sum::<u64>(), total);
         let path: Vec<u32> = (0..n).map(|v| v.saturating_sub(1)).collect();
         for t in [spanning_tree_of(&g, 4), Arc::new(RootedTree::from_parents(0, &path))] {
-            let lca = lifting(&t);
+            let lca = lca_of(&t);
             let q = CutQuery::build(&g, &t, &lca, 0.5, &Meter::disabled());
             assert_eq!(q.range_height(), 1, "a complete graph takes the table");
             let m = Meter::disabled();
@@ -619,7 +603,7 @@ mod tests {
         let g = generators::path(10, 5);
         let parent: Vec<u32> = (0..10u32).map(|v| v.saturating_sub(1)).collect();
         let t = Arc::new(RootedTree::from_parents(0, &parent));
-        let lca = lifting(&t);
+        let lca = lca_of(&t);
         let q = CutQuery::build(&g, &t, &lca, 0.5, &Meter::disabled());
         let m = Meter::disabled();
         for e in 1..10u32 {
@@ -679,7 +663,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(107);
         let g = generators::gnm_connected(12, 25, 3, &mut rng);
         let t = spanning_tree_of(&g, 0);
-        let lca = lifting(&t);
+        let lca = lca_of(&t);
         let q = CutQuery::build(&g, &t, &lca, 0.5, &Meter::disabled());
         let meter = Meter::enabled();
         let _ = q.cut(1, 2, &meter);

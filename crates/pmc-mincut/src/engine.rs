@@ -21,7 +21,7 @@
 //! Inside [`TreeContext::build`] the mutually independent sub-builds
 //! fork under `rayon::join`: the LCA table feeds the coverage array
 //! while the 2-D grid, the path decomposition, and the centroid
-//! (or heavy-path) decomposition need only the tree itself.
+//! decomposition need only the tree itself.
 //! [`TreeContext::cut_batch_into`] answers a slice of cut queries into
 //! a caller-owned buffer, one probe per pair; single probes and the
 //! coverage array are read through [`TreeContext::cut_query`].
@@ -219,7 +219,7 @@ impl<'g> TreeContext<'g> {
     /// Build every per-tree structure, forking the independent
     /// sub-builds (DESIGN.md §8): the LCA table (which feeds the
     /// coverage array inside [`CutQuery::build`]) runs alongside the
-    /// path decomposition and the interest engine's centroid/heavy-path
+    /// path decomposition and the interest engine's centroid
     /// decomposition, and the 2-D range tree overlaps the coverage
     /// array one level further down.
     pub fn build(
@@ -274,9 +274,8 @@ impl<'g> TreeContext<'g> {
         &self.tree
     }
 
-    /// The LCA substrate built for [`TwoRespectParams::lca_strategy`]:
-    /// plain `lca` dispatches to the strategy's engine, level ancestors
-    /// stay with the lifting table.
+    /// The LCA substrate: plain `lca` is answered by the sparse table,
+    /// level ancestors by the lifting table.
     #[inline]
     pub fn lca(&self) -> &LcaEngine {
         &self.lca

@@ -43,11 +43,10 @@ pub struct ExactParams {
     /// kept because perfbench's `--trace 1` still composes Phase 1 from
     /// it.
     pub approx: ApproxParams,
-    /// How the 2-respecting solver traces interest arms (Claim 4.13).
-    /// Mirrored into [`TwoRespectParams::interest_strategy`] for every
-    /// packed tree, overriding whatever `two_respect` carries, so the
-    /// pipeline-level knob is authoritative. Centroid descent is the
-    /// default; [`ExactParams::paper`] pins it explicitly.
+    /// The interest-arm descent (Claim 4.13): centroid descent, its one
+    /// value. Unread by `exact_mincut*`, whose trees take
+    /// [`TwoRespectParams::interest_strategy`]; the field goes when
+    /// perfbench's trace stops reading it.
     pub interest_strategy: InterestStrategy,
     /// Skeleton oversampling constant (`c` in `p = c ln n / (ε² λ̃)`).
     pub skeleton_c: f64,
@@ -112,12 +111,6 @@ impl ExactParams {
     pub fn paper(seed: u64) -> Self {
         ExactParams {
             approx: ApproxParams::paper(seed),
-            // Theorem 4.2's substrate choices (SMAWK row minima, O(1)
-            // Euler-tour LCA) pinned for every packed tree.
-            two_respect: TwoRespectParams::paper(),
-            // The paper's Claim 4.13 search; pinned here so the preset
-            // stays faithful even if the workspace default moves.
-            interest_strategy: InterestStrategy::Centroid,
             skeleton_c: 36.0,
             skeleton_eps: 1.0 / 6.0,
             seed,
@@ -252,15 +245,12 @@ pub fn exact_mincut_deadline_in(
     stats.num_trees = trees.len();
 
     // Phase 5: per-tree 2-respecting minimum cuts in the original graph.
-    // The pipeline's interest-strategy knob overrides the per-solver
-    // one. A skipped tree flags the whole run as degraded, because the
+    // A skipped tree flags the whole run as degraded, because the
     // packing guarantee needs every tree.
     if let Err(e) = deadline.check("phase5:trees") {
         return degraded(stats, degrade_reason_of(e));
     }
-    let tr_params =
-        TwoRespectParams { interest_strategy: params.interest_strategy, ..params.two_respect };
-    let (cut, skipped) = solve_packed_trees(ctx, &trees, &tr_params, deadline, meter);
+    let (cut, skipped) = solve_packed_trees(ctx, &trees, &params.two_respect, deadline, meter);
     let quality = if skipped {
         SolveQuality::Degraded(deadline.degrade_reason("phase5:trees"))
     } else {

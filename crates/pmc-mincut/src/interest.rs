@@ -16,31 +16,24 @@
 //! an *up-arm* climbing from `e` that turns downward at most once
 //! (ending at `ce`) — the paper's `de` and `ce` nodes.
 //!
-//! Both arms are traced by the [`InterestEngine`] that
-//! [`InterestStrategy`] selects:
+//! Both arms are traced by the [`InterestEngine`], the paper's Claim
+//! 4.13: walk down the centroid tree maintaining the invariant that the
+//! current centroid component contains the arm endpoint. Routing toward
+//! a component is an `O(1)` structural lookup
+//! ([`pmc_tree::CentroidDecomposition::child_toward`]); at most one
+//! coverage query decides each level, so an arm costs `O(log n)` cut
+//! queries on bounded-degree trees (`O(log n · log Δ)` in general, from
+//! the child-locating binary searches at the `O(log n)` centroids that
+//! land on the arm).
 //!
-//! * [`InterestEngine::Centroid`] (the default, the paper's Claim 4.13): walk
-//!   down the centroid tree maintaining the invariant that the current
-//!   centroid component contains the arm endpoint. Routing toward a
-//!   component is an `O(1)` structural lookup
-//!   ([`pmc_tree::CentroidDecomposition::child_toward`]); at most one
-//!   coverage query decides each level, so an arm costs `O(log n)` cut
-//!   queries on bounded-degree trees (`O(log n · log Δ)` in general,
-//!   from the child-locating binary searches at the `O(log n)`
-//!   centroids that land on the arm).
-//! * [`InterestEngine::HeavyPath`] (the retained fallback, DESIGN.md
-//!   §2): interest is monotone along any root-down chain, so the arm is
-//!   traced by (1) binary searching its extent along the current heavy
-//!   chain, and (2) locating the unique possible branching child by
-//!   binary search over the children's contiguous postorder intervals.
-//!   Each arm costs `O(log² n)` cut queries.
-//!
-//! The `tests/complexity_regression.rs` suite turns the asymptotic gap
-//! into an executable check with metered query counts.
+//! The `tests/complexity_regression.rs` suite turns the `O(log n)` bound
+//! into an executable check with metered query counts, and
+//! [`InterestSearch::brute_arms`] is the tests' oracle for the
+//! endpoints.
 
 use crate::cutquery::CutQuery;
 use pmc_parallel::meter::{CostKind, Meter};
-use pmc_tree::{CentroidDecomposition, LcaEngine, PathDecomposition, PathStrategy};
+use pmc_tree::{CentroidDecomposition, LcaEngine};
 
 /// Endpoints of the interesting path of one edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,13 +46,13 @@ pub struct Arms {
     pub ce: u32,
 }
 
-/// Which decomposition steers the interest search — the selector for
-/// the two [`InterestEngine`] variants.
+/// Which decomposition steers the interest search.
+///
+/// It has one value, centroid descent. The enum stays only because
+/// perfbench's trace passes it to [`InterestEngine::build`]; it goes
+/// when that trace is rewritten.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InterestStrategy {
-    /// Heavy-path descent: `O(log² n)` cut queries per edge. The
-    /// provable fallback described in DESIGN.md §2.
-    HeavyPath,
     /// Centroid descent (the paper's Claim 4.13): `O(log n)` cut
     /// queries per edge on the workloads the theorem targets.
     #[default]
@@ -70,39 +63,27 @@ pub enum InterestStrategy {
 /// search. A [`crate::engine::TreeContext`] builds it once per packed
 /// tree and binds it to [`InterestSearch`] views via
 /// [`InterestSearch::new`] without rebuilding.
-pub enum InterestEngine {
-    /// Heavy-path descent (DESIGN.md §2): `O(log² n)` cut queries per
-    /// arm, over the [`PathStrategy::HeavyPath`] decomposition's chains.
-    HeavyPath(PathDecomposition),
-    /// Centroid descent (Claim 4.13): `O(log n)` cut queries per arm on
-    /// bounded-degree trees.
-    ///
-    /// The arm endpoint `t` is the deepest vertex of a root-down chain
-    /// of vertices `v` with `t ∈ subtree(v)`, and that membership is
-    /// decidable with at most one coverage query (`interesting(e, v)`
-    /// when `v` lies strictly below the deepest confirmed arm vertex;
-    /// structurally otherwise). The descent walks the centroid tree
-    /// keeping the invariant *"the current centroid's component contains
-    /// `t`"*: each level either routes structurally (`child_toward`,
-    /// zero queries), spends one query to discover the centroid is off
-    /// the arm, or lands on the arm and re-anchors via the
-    /// unique-interesting-child search.
-    Centroid(CentroidDecomposition),
+///
+/// Centroid descent (Claim 4.13): `O(log n)` cut queries per arm on
+/// bounded-degree trees. The arm endpoint `t` is the deepest vertex of
+/// a root-down chain of vertices `v` with `t ∈ subtree(v)`, and that
+/// membership is decidable with at most one coverage query
+/// (`interesting(e, v)` when `v` lies strictly below the deepest
+/// confirmed arm vertex; structurally otherwise). The descent walks the
+/// centroid tree keeping the invariant *"the current centroid's
+/// component contains `t`"*: each level either routes structurally
+/// (`child_toward`, zero queries), spends one query to discover the
+/// centroid is off the arm, or lands on the arm and re-anchors via the
+/// unique-interesting-child search.
+pub struct InterestEngine {
+    cd: CentroidDecomposition,
 }
 
 impl InterestEngine {
-    /// Build the tree-lifetime engine for `strategy`.
-    pub fn build(tree: &pmc_tree::RootedTree, strategy: InterestStrategy, meter: &Meter) -> Self {
-        match strategy {
-            InterestStrategy::HeavyPath => InterestEngine::HeavyPath(PathDecomposition::build(
-                tree,
-                PathStrategy::HeavyPath,
-                meter,
-            )),
-            InterestStrategy::Centroid => {
-                InterestEngine::Centroid(CentroidDecomposition::build(tree, meter))
-            }
-        }
+    /// Build the tree-lifetime engine. `_strategy` has one value
+    /// ([`InterestStrategy`]).
+    pub fn build(tree: &pmc_tree::RootedTree, _strategy: InterestStrategy, meter: &Meter) -> Self {
+        InterestEngine { cd: CentroidDecomposition::build(tree, meter) }
     }
 
     /// Deepest vertex of the arm of `e` descending from `start` (`start`
@@ -117,90 +98,48 @@ impl InterestEngine {
         mut exclude: Option<u32>,
         meter: &Meter,
     ) -> u32 {
-        match self {
-            // Repeatedly (1) find the unique interesting child branch
-            // (none -> stop), (2) binary search the arm's extent along
-            // that child's heavy chain.
-            InterestEngine::HeavyPath(paths) => {
-                let mut v = start;
-                loop {
-                    let Some(c) = search.interesting_child(e, v, cov_e, exclude, meter) else {
-                        return v;
-                    };
+        let tree = search.q.tree();
+        // Deepest confirmed arm vertex; the endpoint lies in its subtree.
+        let mut a = start;
+        let mut c = self.cd.top();
+        loop {
+            if c == a {
+                // The centroid is the deepest confirmed arm vertex: extend
+                // the arm by its unique interesting child, or certify that
+                // the arm ends here.
+                match search.interesting_child(e, a, cov_e, exclude, meter) {
+                    None => return a,
+                    Some(u) => {
+                        exclude = None;
+                        a = u;
+                        c = self.cd.child_toward(c, u);
+                        continue;
+                    }
+                }
+            }
+            let route_to = if tree.is_ancestor(c, a) {
+                // Strictly above `a`: descend toward it (structural).
+                search.lca.ancestor_at_depth(a, tree.depth(c) + 1)
+            } else if tree.is_ancestor(a, c) {
+                // Strictly below `a`: on the excluded branch the endpoint
+                // cannot be; otherwise one query decides whether `c` is on
+                // the arm.
+                let masked = exclude.is_some_and(|x| tree.is_ancestor(x, c));
+                if !masked && search.interesting(e, c, meter) {
+                    // `c` is an arm vertex: re-anchor and resolve it as the
+                    // new deepest confirmed vertex next iteration.
                     exclude = None;
-                    // Binary search the deepest interesting edge on c's
-                    // heavy chain (interest is monotone along the
-                    // vertical chain). `c` is a child, never the root, so
-                    // its decomposition path is its heavy chain (the
-                    // root's path leaves out only the root itself).
-                    let chain = paths.path(paths.path_of(c));
-                    let k = paths.pos_of(c) as usize;
-                    let (mut lo, mut hi) = (k, chain.len() - 1);
-                    while lo < hi {
-                        let mid = (lo + hi).div_ceil(2);
-                        if search.interesting(e, chain[mid], meter) {
-                            lo = mid;
-                        } else {
-                            hi = mid - 1;
-                        }
-                    }
-                    let x = chain[lo];
-                    if x == v {
-                        return v;
-                    }
-                    v = x;
+                    a = c;
+                    continue;
                 }
-            }
-            InterestEngine::Centroid(cd) => {
-                let tree = search.q.tree();
-                // Deepest confirmed arm vertex; the endpoint lies in its
-                // subtree.
-                let mut a = start;
-                let mut c = cd.top();
-                loop {
-                    if c == a {
-                        // The centroid is the deepest confirmed arm
-                        // vertex: extend the arm by its unique
-                        // interesting child, or certify that the arm
-                        // ends here.
-                        match search.interesting_child(e, a, cov_e, exclude, meter) {
-                            None => return a,
-                            Some(u) => {
-                                exclude = None;
-                                a = u;
-                                c = cd.child_toward(c, u);
-                                continue;
-                            }
-                        }
-                    }
-                    let route_to = if tree.is_ancestor(c, a) {
-                        // Strictly above `a`: descend toward it
-                        // (structural).
-                        search.lca.ancestor_at_depth(a, tree.depth(c) + 1)
-                    } else if tree.is_ancestor(a, c) {
-                        // Strictly below `a`: on the excluded branch the
-                        // endpoint cannot be; otherwise one query decides
-                        // whether `c` is on the arm.
-                        let masked = exclude.is_some_and(|x| tree.is_ancestor(x, c));
-                        if !masked && search.interesting(e, c, meter) {
-                            // `c` is an arm vertex: re-anchor and resolve
-                            // it as the new deepest confirmed vertex next
-                            // iteration.
-                            exclude = None;
-                            a = c;
-                            continue;
-                        }
-                        // Off the arm: the endpoint is outside
-                        // subtree(c).
-                        tree.parent(c)
-                    } else {
-                        // Incomparable with `a`: the endpoint lives in
-                        // subtree(a), disjoint from subtree(c).
-                        tree.parent(c)
-                    };
-                    c = cd.child_toward(c, route_to);
-                }
-            }
+                // Off the arm: the endpoint is outside subtree(c).
+                tree.parent(c)
+            } else {
+                // Incomparable with `a`: the endpoint lives in subtree(a),
+                // disjoint from subtree(c).
+                tree.parent(c)
+            };
+            c = self.cd.child_toward(c, route_to);
         }
     }
 }
@@ -209,9 +148,7 @@ impl InterestEngine {
 /// prebuilt [`InterestEngine`].
 ///
 /// Holds an [`LcaEngine`] rather than a bare lifting table: the arm
-/// binary searches need level-ancestor queries (which stay with the
-/// lifting substrate whatever the LCA strategy), so the engine is the
-/// right capability bundle here.
+/// binary searches need its level-ancestor queries.
 pub struct InterestSearch<'a> {
     q: &'a CutQuery<'a>,
     lca: &'a LcaEngine,
@@ -372,7 +309,24 @@ impl<'a> InterestSearch<'a> {
             .filter(|&f| f != tree.root() && f != e && self.interesting(e, f, meter))
             .collect()
     }
+
+    /// Brute-force arm endpoints (the tests' oracle for [`Self::arms`]):
+    /// `de` is the deepest interesting descendant of `e`, and `ce` the
+    /// deepest interesting edge incomparable with `e`; each is `e` when
+    /// there is none.
+    pub fn brute_arms(&self, e: u32, meter: &Meter) -> Arms {
+        let tree = self.q.tree();
+        let set = self.brute_interesting_set(e, meter);
+        let deepest = |pred: &dyn Fn(u32) -> bool| -> u32 {
+            set.iter().copied().filter(|&f| pred(f)).max_by_key(|&f| tree.depth(f)).unwrap_or(e)
+        };
+        Arms {
+            de: deepest(&|f| tree.is_ancestor(e, f)),
+            ce: deepest(&|f| !tree.is_ancestor(e, f) && !tree.is_ancestor(f, e)),
+        }
+    }
 }
+
 
 #[cfg(test)]
 mod tests {
@@ -383,15 +337,12 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    const BOTH: [InterestStrategy; 2] =
-        [InterestStrategy::HeavyPath, InterestStrategy::Centroid];
-
     fn lca_of(tree: &RootedTree) -> LcaEngine {
         LcaEngine::build(tree, LcaStrategy::default(), &Meter::disabled())
     }
 
-    fn build_engine(q: &CutQuery<'_>, strategy: InterestStrategy) -> InterestEngine {
-        InterestEngine::build(q.tree(), strategy, &Meter::disabled())
+    fn build_engine(q: &CutQuery<'_>) -> InterestEngine {
+        InterestEngine::build(q.tree(), InterestStrategy::default(), &Meter::disabled())
     }
 
     struct Fixture {
@@ -427,7 +378,7 @@ mod tests {
             let f = fixture(24, 50, 200 + seed);
             let lca = lca_of(&f.tree);
             let q = CutQuery::build(&f.g, &f.tree, &lca, 0.5, &Meter::disabled());
-            let engine = build_engine(&q, InterestStrategy::default());
+            let engine = build_engine(&q);
             let is = InterestSearch::new(&q, &lca, &engine);
             let m = Meter::disabled();
             for e in 1..24u32 {
@@ -466,29 +417,26 @@ mod tests {
     #[test]
     fn arms_cover_interesting_set() {
         // The guarantee the tuple generation needs: every interesting f
-        // lies on root->de or root->ce — under both strategies.
+        // lies on root->de or root->ce.
         for seed in 0..8 {
             let f = fixture(30, 70, 300 + seed);
             let lca = lca_of(&f.tree);
             let q = CutQuery::build(&f.g, &f.tree, &lca, 0.4, &Meter::disabled());
             let m = Meter::disabled();
-            for strategy in BOTH {
-                let engine = build_engine(&q, strategy);
-                let is = InterestSearch::new(&q, &lca, &engine);
-                for e in 1..30u32 {
-                    let arms = is.arms(e, &m);
-                    let set = is.brute_interesting_set(e, &m);
-                    let cover: std::collections::HashSet<u32> = root_chain(&f.tree, arms.de)
-                        .into_iter()
-                        .chain(root_chain(&f.tree, arms.ce))
-                        .collect();
-                    for &fe in &set {
-                        assert!(
-                            cover.contains(&fe),
-                            "seed {seed} {strategy:?} e={e}: interesting edge {fe} not \
-                             covered by arms {arms:?}"
-                        );
-                    }
+            let engine = build_engine(&q);
+            let is = InterestSearch::new(&q, &lca, &engine);
+            for e in 1..30u32 {
+                let arms = is.arms(e, &m);
+                let set = is.brute_interesting_set(e, &m);
+                let cover: std::collections::HashSet<u32> = root_chain(&f.tree, arms.de)
+                    .into_iter()
+                    .chain(root_chain(&f.tree, arms.ce))
+                    .collect();
+                for &fe in &set {
+                    assert!(
+                        cover.contains(&fe),
+                        "seed {seed} e={e}: interesting edge {fe} not covered by arms {arms:?}"
+                    );
                 }
             }
         }
@@ -497,22 +445,17 @@ mod tests {
     #[test]
     fn strategies_agree_exactly() {
         // The arm endpoints are uniquely determined (deepest vertex of
-        // each arm), so the two descents must return identical `Arms`.
+        // each arm), so the centroid descent must return exactly the
+        // brute-force endpoints.
         for seed in 0..10 {
             let f = fixture(28, 64, 500 + seed);
             let lca = lca_of(&f.tree);
             let q = CutQuery::build(&f.g, &f.tree, &lca, 0.5, &Meter::disabled());
             let m = Meter::disabled();
-            let heavy_engine = build_engine(&q, InterestStrategy::HeavyPath);
-            let heavy = InterestSearch::new(&q, &lca, &heavy_engine);
-            let centroid_engine = build_engine(&q, InterestStrategy::Centroid);
-            let centroid = InterestSearch::new(&q, &lca, &centroid_engine);
+            let engine = build_engine(&q);
+            let is = InterestSearch::new(&q, &lca, &engine);
             for e in 1..28u32 {
-                assert_eq!(
-                    heavy.arms(e, &m),
-                    centroid.arms(e, &m),
-                    "seed {seed} e={e}: strategies disagree"
-                );
+                assert_eq!(is.arms(e, &m), is.brute_arms(e, &m), "seed {seed} e={e}");
             }
         }
     }
@@ -533,19 +476,17 @@ mod tests {
             let lca = lca_of(&tree);
             let q = CutQuery::build(&g, &tree, &lca, 0.5, &Meter::disabled());
             let m = Meter::disabled();
-            for strategy in BOTH {
-                let engine = build_engine(&q, strategy);
-                let is = InterestSearch::new(&q, &lca, &engine);
-                for e in (0..g.n() as u32).filter(|&v| v != tree.root()) {
-                    let arms = is.arms(e, &m);
-                    let set = is.brute_interesting_set(e, &m);
-                    let cover: std::collections::HashSet<u32> = root_chain(&tree, arms.de)
-                        .into_iter()
-                        .chain(root_chain(&tree, arms.ce))
-                        .collect();
-                    for &fe in &set {
-                        assert!(cover.contains(&fe), "graph {gi} {strategy:?} e={e}: {fe}");
-                    }
+            let engine = build_engine(&q);
+            let is = InterestSearch::new(&q, &lca, &engine);
+            for e in (0..g.n() as u32).filter(|&v| v != tree.root()) {
+                let arms = is.arms(e, &m);
+                let set = is.brute_interesting_set(e, &m);
+                let cover: std::collections::HashSet<u32> = root_chain(&tree, arms.de)
+                    .into_iter()
+                    .chain(root_chain(&tree, arms.ce))
+                    .collect();
+                for &fe in &set {
+                    assert!(cover.contains(&fe), "graph {gi} e={e}: {fe}");
                 }
             }
         }
@@ -562,14 +503,11 @@ mod tests {
         let lca = lca_of(&tree);
         let q = CutQuery::build(&g, &tree, &lca, 0.5, &Meter::disabled());
         let m = Meter::disabled();
-        for strategy in BOTH {
-            let engine = build_engine(&q, strategy);
-            let is = InterestSearch::new(&q, &lca, &engine);
-            for e in 1..12u32 {
-                assert!(is.brute_interesting_set(e, &m).is_empty());
-                let arms = is.arms(e, &m);
-                assert_eq!(arms, Arms { de: e, ce: e }, "{strategy:?}");
-            }
+        let engine = build_engine(&q);
+        let is = InterestSearch::new(&q, &lca, &engine);
+        for e in 1..12u32 {
+            assert!(is.brute_interesting_set(e, &m).is_empty());
+            assert_eq!(is.arms(e, &m), Arms { de: e, ce: e });
         }
     }
 
@@ -588,52 +526,21 @@ mod tests {
         let m = Meter::disabled();
         // Every tree edge is covered by the chord (weight 5) and itself
         // (weight 1): cov = 6, cov2 = 5 between any two tree edges.
-        for strategy in BOTH {
-            let engine = build_engine(&q, strategy);
-            let is = InterestSearch::new(&q, &lca, &engine);
-            for e in 1..10u32 {
-                assert_eq!(q.cov(e), 6);
-                let set = is.brute_interesting_set(e, &m);
-                assert_eq!(set.len(), 8, "{strategy:?} e={e}: all other edges interesting");
-                let arms = is.arms(e, &m);
-                // Down-arm reaches the deepest vertex, up-arm the rest.
-                let cover: std::collections::HashSet<u32> = root_chain(&tree, arms.de)
-                    .into_iter()
-                    .chain(root_chain(&tree, arms.ce))
-                    .collect();
-                for &fe in &set {
-                    assert!(cover.contains(&fe));
-                }
+        let engine = build_engine(&q);
+        let is = InterestSearch::new(&q, &lca, &engine);
+        for e in 1..10u32 {
+            assert_eq!(q.cov(e), 6);
+            let set = is.brute_interesting_set(e, &m);
+            assert_eq!(set.len(), 8, "e={e}: all other edges interesting");
+            let arms = is.arms(e, &m);
+            // Down-arm reaches the deepest vertex, up-arm the rest.
+            let cover: std::collections::HashSet<u32> = root_chain(&tree, arms.de)
+                .into_iter()
+                .chain(root_chain(&tree, arms.ce))
+                .collect();
+            for &fe in &set {
+                assert!(cover.contains(&fe));
             }
-        }
-    }
-
-    #[test]
-    fn heavy_path_arm_runs_along_the_root_chain() {
-        // The path tree 0-1-…-9 is one heavy chain from the root. The
-        // heavy-path decomposition's root path leaves out the root itself
-        // ([1, 2, …, 9]), so for e = 1 the descent finds child 2 with one
-        // mass probe and binary searches positions 1..=8 of that path.
-        // A chord (0, t) of weight 5 makes exactly the edges 2..=t
-        // interesting for e = 1:
-        // * t = 9: the search probes vertices 6, 8 and 9 and lands on 9;
-        // * t = 2: it probes 6, 4 and 3, lands on 2 itself, and one more
-        //   mass probe finds no interesting child below 2.
-        // The up-arm is empty (e hangs off the root). A chain position
-        // off by one either way changes the endpoint or the probe count.
-        let parent: Vec<u32> = (0..10u32).map(|v| v.saturating_sub(1)).collect();
-        let tree = std::sync::Arc::new(RootedTree::from_parents(0, &parent));
-        let lca = lca_of(&tree);
-        for (t, probes) in [(9u32, 4u64), (2, 5)] {
-            let mut edges: Vec<(u32, u32, u64)> = (0..9u32).map(|i| (i, i + 1, 1)).collect();
-            edges.push((0, t, 5));
-            let g = Graph::from_edges(10, edges);
-            let q = CutQuery::build(&g, &tree, &lca, 0.5, &Meter::disabled());
-            let engine = build_engine(&q, InterestStrategy::HeavyPath);
-            let is = InterestSearch::new(&q, &lca, &engine);
-            let meter = Meter::enabled();
-            assert_eq!(is.arms(1, &meter), Arms { de: t, ce: 1 }, "chord to {t}");
-            assert_eq!(meter.get(CostKind::InterestQuery), probes, "chord to {t}");
         }
     }
 
@@ -666,7 +573,7 @@ mod tests {
         let tree = std::sync::Arc::new(RootedTree::from_parents(0, &[0, 0, 0, 1, 2, 4]));
         let lca = lca_of(&tree);
         let q = CutQuery::build(&g, &tree, &lca, 0.5, &Meter::disabled());
-        let engine = build_engine(&q, InterestStrategy::default());
+        let engine = build_engine(&q);
         let is = InterestSearch::new(&q, &lca, &engine);
         let m = Meter::disabled();
         let (e, f, e_prime) = (3u32, 5u32, 4u32);
@@ -675,33 +582,5 @@ mod tests {
         assert!(is.interesting(f, e, &m));
         // e' is down-interested in f.
         assert!(is.interesting(e_prime, f, &m));
-    }
-
-    #[test]
-    fn centroid_descent_issues_fewer_queries_on_long_arms() {
-        // On the fishbone workload every spine arm crosses a fresh
-        // heavy chain per level, so heavy-path descent pays a binary
-        // search per level (Θ(log² n) per edge) while centroid descent
-        // re-anchors in O(1) queries per centroid level.
-        let levels = 9; // n = 3·2⁹ − 2 = 1534
-        let (g, parent, spine) = generators::fishbone(levels, 8);
-        let tree = std::sync::Arc::new(RootedTree::from_parents(0, &parent));
-        let lca = lca_of(&tree);
-        let q = CutQuery::build(&g, &tree, &lca, 0.5, &Meter::disabled());
-        let count = |strategy: InterestStrategy| -> u64 {
-            let engine = build_engine(&q, strategy);
-            let is = InterestSearch::new(&q, &lca, &engine);
-            let meter = Meter::enabled();
-            for &e in &spine[1..] {
-                is.arms(e, &meter);
-            }
-            meter.get(CostKind::CutQuery)
-        };
-        let heavy = count(InterestStrategy::HeavyPath);
-        let centroid = count(InterestStrategy::Centroid);
-        assert!(
-            centroid < heavy,
-            "centroid {centroid} queries should undercut heavy-path {heavy}"
-        );
     }
 }

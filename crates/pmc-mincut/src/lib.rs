@@ -9,10 +9,8 @@
 //!   `cut(e,f) = cov(e) + cov(f) - 2 cov(e,f)` (see DESIGN.md).
 //! * [`interest`]: the cross-/down-interest search of Definition 4.7 /
 //!   Claims 4.8, 4.13 — per tree edge, the endpoints `ce`/`de` of the
-//!   path of edges it is interested in, traced by the
-//!   [`interest::InterestEngine`] that [`interest::InterestStrategy`]
-//!   selects (centroid descent by default, heavy-path descent as the
-//!   fallback).
+//!   path of edges it is interested in, traced by the centroid descent
+//!   of [`interest::InterestEngine`].
 //! * [`two_respect`]: the minimum 2-respecting cut of a spanning tree
 //!   (Theorem 4.2): path decomposition, partial-Monge single-path
 //!   search, interest tuples, and Monge pair search.

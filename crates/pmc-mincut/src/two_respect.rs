@@ -40,19 +40,14 @@ pub struct TwoRespectParams {
     /// It only shapes the range-tree path: a dense grid (`n² ≤ 16·m`)
     /// is answered from a prefix table, whatever `ε` (DESIGN.md §5).
     pub eps: f64,
-    /// Which Property-4.3 decomposition to use.
+    /// The Property-4.3 decomposition: heavy paths, its one value.
+    /// The field goes when perfbench's trace stops reading it.
     pub strategy: PathStrategy,
-    /// Which decomposition traces the interest arms (Claim 4.13):
-    /// centroid descent (`O(log n)` cut queries per edge, the default)
-    /// or the heavy-path fallback (`O(log² n)`, DESIGN.md §2).
-    ///
-    /// Heeded by direct [`two_respecting_mincut`] callers; inside the
-    /// exact pipeline, `ExactParams::interest_strategy` is authoritative
-    /// and overwrites this field — set the knob there instead.
+    /// The interest-arm descent (Claim 4.13): centroid descent, its one
+    /// value. The field goes when perfbench's trace stops reading it.
     pub interest_strategy: InterestStrategy,
-    /// Which substrate answers plain LCA queries: binary lifting
-    /// (`O(log n)` probes per query) or the Euler-tour sparse table
-    /// (`O(1)`). Level-ancestor queries always stay with lifting.
+    /// The LCA substrate: the O(1) Euler-tour sparse table, its one
+    /// value. The field goes when perfbench's trace stops reading it.
     pub lca_strategy: LcaStrategy,
 }
 
@@ -60,25 +55,9 @@ impl Default for TwoRespectParams {
     fn default() -> Self {
         TwoRespectParams {
             eps: 0.25,
-            strategy: PathStrategy::HeavyPath,
+            strategy: PathStrategy::default(),
             interest_strategy: InterestStrategy::default(),
             lca_strategy: LcaStrategy::default(),
-        }
-    }
-}
-
-impl TwoRespectParams {
-    /// The paper-faithful configuration of Theorem 4.2: centroid-descent
-    /// interest arms (Claim 4.13) and the O(1)-query Euler-tour LCA —
-    /// the variants the complexity statements assume. (Row minima are
-    /// always SMAWK, the \[RV94\] substitute of §4.1.2/§4.1.3.) `Default`
-    /// currently coincides on the substrate knobs; `paper()` pins them
-    /// explicitly so experiment configs stay stable if defaults move.
-    pub fn paper() -> Self {
-        TwoRespectParams {
-            interest_strategy: InterestStrategy::Centroid,
-            lca_strategy: LcaStrategy::SparseTable,
-            ..TwoRespectParams::default()
         }
     }
 }
@@ -337,7 +316,7 @@ pub fn naive_two_respecting(
     let n = tree.n();
     assert!(n >= 2);
     let tree = Arc::new(tree.clone());
-    let lca = LcaEngine::build(&tree, LcaStrategy::Lifting, meter);
+    let lca = LcaEngine::build(&tree, LcaStrategy::default(), meter);
     let q = CutQuery::build(g, &tree, &lca, eps, meter);
     let root = tree.root();
     let best = (0..n as u32)
@@ -385,24 +364,13 @@ mod tests {
             let t = spanning_tree_of(&g, (trial % n) as u32);
             let m = Meter::disabled();
             let naive = naive_two_respecting(&g, &t, 0.5, &m);
-            for strategy in [PathStrategy::HeavyPath, PathStrategy::Bough] {
-                for interest_strategy in
-                    [InterestStrategy::HeavyPath, InterestStrategy::Centroid]
-                {
-                    let params = TwoRespectParams {
-                        eps: 0.4,
-                        strategy,
-                        interest_strategy,
-                        ..TwoRespectParams::default()
-                    };
-                    let fast = two_respecting_mincut(&g, &t, &params, &m);
-                    assert_eq!(
-                        fast.cut.value, naive.cut.value,
-                        "trial {trial} {strategy:?}/{interest_strategy:?}: fast {} vs naive {}",
-                        fast.cut.value, naive.cut.value
-                    );
-                }
-            }
+            let params = TwoRespectParams { eps: 0.4, ..TwoRespectParams::default() };
+            let fast = two_respecting_mincut(&g, &t, &params, &m);
+            assert_eq!(
+                fast.cut.value, naive.cut.value,
+                "trial {trial}: fast {} vs naive {}",
+                fast.cut.value, naive.cut.value
+            );
         }
     }
 
@@ -450,10 +418,10 @@ mod tests {
         for _ in 0..6 {
             let g = generators::gnm_connected(22, 60, 5, &mut rng);
             let t = spanning_tree_of(&g, 0);
-            let lca = LcaEngine::build(&t, LcaStrategy::Lifting, &Meter::disabled());
+            let lca = LcaEngine::build(&t, LcaStrategy::default(), &Meter::disabled());
             let q = CutQuery::build(&g, &t, &lca, 0.5, &Meter::disabled());
             let m = Meter::disabled();
-            let decomp = PathDecomposition::build(&t, PathStrategy::HeavyPath, &m);
+            let decomp = PathDecomposition::build(&t, PathStrategy::default(), &m);
             for p in decomp.paths() {
                 if p.len() < 3 {
                     continue;
@@ -482,7 +450,7 @@ mod tests {
         for _ in 0..10 {
             let g = generators::gnm_connected(24, 70, 6, &mut rng);
             let t = spanning_tree_of(&g, 0);
-            let lca = LcaEngine::build(&t, LcaStrategy::Lifting, &Meter::disabled());
+            let lca = LcaEngine::build(&t, LcaStrategy::default(), &Meter::disabled());
             let q = CutQuery::build(&g, &t, &lca, 0.5, &Meter::disabled());
             let m = Meter::disabled();
             // Sample vertical chains: root-to-leaf paths, then pick two

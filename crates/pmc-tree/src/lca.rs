@@ -1,14 +1,14 @@
 //! Binary-lifting LCA, level-ancestor queries, and the [`LcaEngine`]
-//! that routes each LCA query to lifting or the O(1) sparse-table
-//! path.
+//! that answers each LCA query from the O(1) sparse table.
 //!
 //! The interest search (§4.1.3) binary-searches along root-to-vertex
 //! chains; [`LcaTable::ancestor_at_depth`] provides the `O(log n)` jump
 //! primitive. Construction is `O(n log n)` work, queries `O(log n)`.
 //! For the pure-LCA volume (one query per graph edge in the coverage
-//! build, Lemma A.1) [`LcaStrategy::SparseTable`] swaps in
+//! build, Lemma A.1) [`LcaEngine`] answers from
 //! [`crate::rmq::SparseLca`] — O(1) per query — while level-ancestor
-//! queries always stay with the lifting table.
+//! queries stay with the lifting table, which also serves the tests as
+//! the sparse table's oracle.
 
 use crate::rmq::SparseLca;
 use crate::rooted::RootedTree;
@@ -111,13 +111,11 @@ impl LcaTable {
 
 /// Which engine answers plain `lca(a, b)` queries.
 ///
-/// Level-ancestor queries (`kth_ancestor`, `ancestor_at_depth`) are not
-/// affected — both strategies keep the binary-lifting table for those.
+/// It has one value: the O(1) sparse table. The enum stays only because
+/// perfbench's trace passes it to [`LcaEngine::build`]; it goes when that
+/// trace is rewritten.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LcaStrategy {
-    /// Binary lifting: `O(n log n)` build, `O(log n)` table probes per
-    /// query.
-    Lifting,
     /// Euler tour + block-decomposed sparse table
     /// ([`crate::rmq::SparseLca`]): `O(n)` build words, one probe per
     /// query.
@@ -125,35 +123,20 @@ pub enum LcaStrategy {
     SparseTable,
 }
 
-/// The LCA substrate a solver context carries: always the lifting table
-/// (level ancestors need it), plus the O(1) sparse structure when
-/// [`LcaStrategy::SparseTable`] is selected. `lca`/`lca_metered`/
-/// `distance` dispatch on the strategy; `kth_ancestor`/
-/// `ancestor_at_depth` delegate to the lifting table unconditionally.
+/// The LCA substrate a solver context carries: the O(1) sparse table for
+/// `lca`/`lca_metered`/`distance`, and the lifting table for
+/// `kth_ancestor`/`ancestor_at_depth` (and as the sparse table's test
+/// oracle, [`LcaEngine::table`]).
 #[derive(Debug, Clone)]
 pub struct LcaEngine {
     lifting: LcaTable,
-    sparse: Option<SparseLca>,
+    sparse: SparseLca,
 }
 
 impl LcaEngine {
-    pub fn build(tree: &RootedTree, strategy: LcaStrategy, meter: &Meter) -> Self {
-        let lifting = LcaTable::build(tree);
-        let sparse = match strategy {
-            LcaStrategy::Lifting => None,
-            LcaStrategy::SparseTable => Some(SparseLca::build(tree, meter)),
-        };
-        LcaEngine { lifting, sparse }
-    }
-
-    /// The strategy this engine was built with.
-    #[inline]
-    pub fn strategy(&self) -> LcaStrategy {
-        if self.sparse.is_some() {
-            LcaStrategy::SparseTable
-        } else {
-            LcaStrategy::Lifting
-        }
+    /// Build both tables. `_strategy` has one value ([`LcaStrategy`]).
+    pub fn build(tree: &RootedTree, _strategy: LcaStrategy, meter: &Meter) -> Self {
+        LcaEngine { lifting: LcaTable::build(tree), sparse: SparseLca::build(tree, meter) }
     }
 
     /// The underlying binary-lifting table (level-ancestor substrate).
@@ -181,18 +164,13 @@ impl LcaEngine {
 
     #[inline]
     pub fn lca(&self, a: u32, b: u32) -> u32 {
-        match &self.sparse {
-            Some(s) => s.lca(a, b),
-            None => self.lifting.lca(a, b),
-        }
+        self.sparse.lca(a, b)
     }
 
-    /// [`LcaEngine::lca`] plus a [`CostKind::LcaStep`] charge per table
-    /// probe: exactly 1 for the sparse table, `levels()` for binary
-    /// lifting (whose descent examines every jump level once, plus the
-    /// equalizing walk of the same order). The ablation harness reads
-    /// this gauge to *record* (not assert) that the O(1) path's
-    /// per-query cost does not grow with depth.
+    /// [`LcaEngine::lca`] plus one [`CostKind::LcaStep`]: the sparse
+    /// table answers with one probe. The ablation harness reads this
+    /// gauge to *record* (not assert) that the per-query cost does not
+    /// grow with depth.
     ///
     /// There is no batched form: the coverage pass (one query per graph
     /// edge) calls this per edge, because an offline sorted sweep over
@@ -200,24 +178,13 @@ impl LcaEngine {
     /// (DESIGN.md §13).
     #[inline]
     pub fn lca_metered(&self, a: u32, b: u32, meter: &Meter) -> u32 {
-        match &self.sparse {
-            Some(s) => {
-                meter.bump(CostKind::LcaStep);
-                s.lca(a, b)
-            }
-            None => {
-                meter.add(CostKind::LcaStep, self.lifting.levels() as u64);
-                self.lifting.lca(a, b)
-            }
-        }
+        meter.bump(CostKind::LcaStep);
+        self.sparse.lca(a, b)
     }
 
     #[inline]
     pub fn distance(&self, a: u32, b: u32) -> u32 {
-        match &self.sparse {
-            Some(s) => s.distance(a, b),
-            None => self.lifting.distance(a, b),
-        }
+        self.sparse.distance(a, b)
     }
 }
 
@@ -312,6 +279,7 @@ mod tests {
 
     #[test]
     fn engine_strategies_agree_and_meter_steps() {
+        // The engine's sparse-table answers equal its lifting table's.
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(91);
@@ -319,46 +287,40 @@ mod tests {
         let parent: Vec<u32> =
             (0..n).map(|v| if v == 0 { 0 } else { rng.random_range(0..v) }).collect();
         let t = RootedTree::from_parents(0, &parent);
-        let lifting = LcaEngine::build(&t, LcaStrategy::Lifting, &Meter::disabled());
-        let sparse = LcaEngine::build(&t, LcaStrategy::SparseTable, &Meter::disabled());
-        assert_eq!(lifting.strategy(), LcaStrategy::Lifting);
-        assert_eq!(sparse.strategy(), LcaStrategy::SparseTable);
-        let (ml, ms) = (Meter::enabled(), Meter::enabled());
+        let engine = LcaEngine::build(&t, LcaStrategy::default(), &Meter::disabled());
+        let lifting = engine.table();
+        let meter = Meter::enabled();
         for _ in 0..200 {
             let a = rng.random_range(0..n);
             let b = rng.random_range(0..n);
-            assert_eq!(lifting.lca_metered(a, b, &ml), sparse.lca_metered(a, b, &ms));
-            assert_eq!(lifting.distance(a, b), sparse.distance(a, b));
-            assert_eq!(lifting.kth_ancestor(a, u32::MAX), 0);
-            assert_eq!(sparse.kth_ancestor(a, u32::MAX), 0);
+            assert_eq!(engine.lca_metered(a, b, &meter), lifting.lca(a, b));
+            assert_eq!(engine.distance(a, b), lifting.distance(a, b));
+            assert_eq!(engine.kth_ancestor(a, u32::MAX), 0);
         }
-        // Sparse charges exactly one step per query; lifting charges
-        // levels() per query (> 1 for n = 400).
-        assert_eq!(ms.get(CostKind::LcaStep), 200);
-        assert_eq!(ml.get(CostKind::LcaStep), 200 * lifting.table().levels() as u64);
-        assert!(ml.get(CostKind::LcaStep) > ms.get(CostKind::LcaStep));
+        // Exactly one step per query.
+        assert_eq!(meter.get(CostKind::LcaStep), 200);
     }
 
     #[test]
     fn lca_step_constant_per_query_as_depth_grows() {
-        // The acceptance gauge: sparse-table steps/query must not grow
-        // with tree depth, lifting's must.
-        let mut lift_prev = 0u64;
+        // The acceptance gauge: steps/query must not grow with tree
+        // depth, while the lifting table's levels (its per-query probes)
+        // do.
+        let mut levels_prev = 0;
         for n in [1u32 << 6, 1 << 10, 1 << 14] {
             let parent: Vec<u32> = (0..n).map(|v| v.saturating_sub(1)).collect();
             let t = RootedTree::from_parents(0, &parent);
-            let sparse = LcaEngine::build(&t, LcaStrategy::SparseTable, &Meter::disabled());
-            let lifting = LcaEngine::build(&t, LcaStrategy::Lifting, &Meter::disabled());
-            let (ms, ml) = (Meter::enabled(), Meter::enabled());
+            let engine = LcaEngine::build(&t, LcaStrategy::default(), &Meter::disabled());
+            let meter = Meter::enabled();
             for q in 0..64u32 {
                 let a = q % n;
                 let b = n - 1 - (q % n);
-                assert_eq!(sparse.lca_metered(a, b, &ms), lifting.lca_metered(a, b, &ml));
+                assert_eq!(engine.lca_metered(a, b, &meter), engine.table().lca(a, b));
             }
-            assert_eq!(ms.get(CostKind::LcaStep), 64, "O(1): one step per query at n={n}");
-            let lift_now = ml.get(CostKind::LcaStep);
-            assert!(lift_now > lift_prev, "lifting steps grow with depth at n={n}");
-            lift_prev = lift_now;
+            assert_eq!(meter.get(CostKind::LcaStep), 64, "O(1): one step per query at n={n}");
+            let levels = engine.table().levels();
+            assert!(levels > levels_prev, "lifting levels grow with depth at n={n}");
+            levels_prev = levels;
         }
     }
 

@@ -12,12 +12,12 @@
 //!   the stack);
 //! * [`rmq`]: the block-decomposed O(1) RMQ ([`rmq::BlockRmq`]) and the
 //!   production Euler-tour LCA built on it ([`rmq::SparseLca`]);
-//! * [`lca`]: binary-lifting LCA, level ancestors, and the concrete
-//!   [`lca::LcaEngine`] that routes each query (metered or not) to
-//!   lifting or the sparse table, as its [`lca::LcaStrategy`] says;
-//! * [`paths`]: heavy-path and bough decompositions — both satisfy
-//!   Property 4.3 (any root-to-leaf path meets `O(log n)` decomposition
-//!   paths) — plus the Root-paths query structure of Lemma 4.5;
+//! * [`lca`]: binary-lifting LCA and level ancestors, and the concrete
+//!   [`lca::LcaEngine`] that answers each LCA query (metered or not)
+//!   from the sparse table and each level-ancestor query from lifting;
+//! * [`paths`]: the heavy-path decomposition — it satisfies Property 4.3
+//!   (any root-to-leaf path meets `O(log n)` decomposition paths) — plus
+//!   the Root-paths query structure of Lemma 4.5;
 //! * [`centroid`]: the centroid decomposition of Definition 4.11 /
 //!   Lemma 4.12.
 

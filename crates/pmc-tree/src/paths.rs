@@ -2,16 +2,10 @@
 //!
 //! §4.1.1 needs a partition `P` of the tree edges into descending paths
 //! such that any root-to-leaf path meets `O(log n)` members of `P`
-//! (Property 4.3). Two constructions are provided:
-//!
-//! * **Heavy paths**: the light edge above each chain head is prepended
-//!   to the chain's heavy edges, giving edge-disjoint descending paths;
-//!   a root-to-leaf path crosses at most `log2(n) + 1` of them.
-//!   Deterministic, and the default.
-//! * **Boughs** (GG18, Lemma 4.4): repeatedly peel all maximal pendant
-//!   chains; every round at least halves the number of leaves, so
-//!   `O(log n)` rounds suffice and a root-to-leaf path meets at most
-//!   one bough per round.
+//! (Property 4.3). Heavy paths provide it: the light edge above each
+//! chain head is prepended to the chain's heavy edges, giving
+//! edge-disjoint descending paths, and a root-to-leaf path crosses at
+//! most `log2(n) + 1` of them.
 //!
 //! [`PathDecomposition::root_paths`] is the query of Lemma 4.5: the
 //! decomposition paths met by the root-to-`u` path, found by jumping
@@ -21,13 +15,15 @@ use crate::rooted::RootedTree;
 use pmc_parallel::meter::{CostKind, Meter};
 
 /// Which decomposition to build.
+///
+/// It has one value, heavy paths. The enum stays only because perfbench's
+/// trace passes it to [`PathDecomposition::build`]; it goes when that
+/// trace is rewritten.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PathStrategy {
     /// Heavy-path chains with the light top edge attached.
     #[default]
     HeavyPath,
-    /// GG18 bough peeling.
-    Bough,
 }
 
 /// An edge-disjoint partition of tree edges into descending paths.
@@ -45,12 +41,11 @@ pub struct PathDecomposition {
 }
 
 impl PathDecomposition {
-    pub fn build(tree: &RootedTree, strategy: PathStrategy, meter: &Meter) -> Self {
+    /// Build the heavy-path decomposition. `_strategy` has one value
+    /// ([`PathStrategy`]).
+    pub fn build(tree: &RootedTree, _strategy: PathStrategy, meter: &Meter) -> Self {
         meter.add(CostKind::TreeOp, tree.n() as u64);
-        let paths = match strategy {
-            PathStrategy::HeavyPath => heavy_paths(tree),
-            PathStrategy::Bough => bough_paths(tree),
-        };
+        let paths = heavy_paths(tree);
         let n = tree.n();
         let mut path_of = vec![u32::MAX; n];
         let mut pos_of = vec![u32::MAX; n];
@@ -177,55 +172,6 @@ fn heavy_paths(tree: &RootedTree) -> Vec<Vec<u32>> {
     paths
 }
 
-/// GG18 bough peeling.
-fn bough_paths(tree: &RootedTree) -> Vec<Vec<u32>> {
-    let n = tree.n();
-    if n <= 1 {
-        return Vec::new();
-    }
-    let root = tree.root();
-    let mut alive_children: Vec<u32> = (0..n as u32).map(|v| tree.children(v).len() as u32).collect();
-    let mut removed = vec![false; n]; // edge below v removed
-    let mut frontier: Vec<u32> = tree.leaves();
-    let mut paths = Vec::new();
-    while !frontier.is_empty() {
-        // Snapshot of the tree shape at round start: the walk-up must not
-        // see removals performed in this same round.
-        let snapshot = alive_children.clone();
-        let mut next = Vec::new();
-        for &leaf in &frontier {
-            if leaf == root || removed[leaf as usize] {
-                continue;
-            }
-            // Climb while the parent is a non-root chain vertex.
-            let mut chain = vec![leaf];
-            let mut top = leaf;
-            loop {
-                let p = tree.parent(top);
-                if p == root || snapshot[p as usize] != 1 {
-                    break;
-                }
-                chain.push(p);
-                top = p;
-            }
-            chain.reverse();
-            // Remove the bough.
-            for &v in &chain {
-                removed[v as usize] = true;
-            }
-            let attach = tree.parent(top);
-            alive_children[attach as usize] -= 1;
-            if alive_children[attach as usize] == 0 && attach != root && !removed[attach as usize]
-            {
-                next.push(attach);
-            }
-            paths.push(chain);
-        }
-        frontier = next;
-    }
-    paths
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,10 +194,14 @@ mod tests {
         RootedTree::from_parents(0, &parent)
     }
 
+    fn build(t: &RootedTree) -> PathDecomposition {
+        PathDecomposition::build(t, PathStrategy::default(), &Meter::disabled())
+    }
+
     #[test]
     fn heavy_valid_on_sample() {
         let t = sample();
-        let d = PathDecomposition::build(&t, PathStrategy::HeavyPath, &Meter::disabled());
+        let d = build(&t);
         d.validate(&t).expect("decomposition invariants hold");
         // Edge count preserved.
         let total: usize = d.paths().iter().map(|p| p.len()).sum();
@@ -259,21 +209,11 @@ mod tests {
     }
 
     #[test]
-    fn bough_valid_on_sample() {
-        let t = sample();
-        let d = PathDecomposition::build(&t, PathStrategy::Bough, &Meter::disabled());
-        d.validate(&t).expect("decomposition invariants hold");
-    }
-
-    #[test]
     fn both_valid_on_random_trees() {
         let mut rng = StdRng::seed_from_u64(71);
         for n in [2u32, 3, 5, 17, 64, 257, 1000] {
             let t = random_tree(n, &mut rng);
-            for s in [PathStrategy::HeavyPath, PathStrategy::Bough] {
-                let d = PathDecomposition::build(&t, s, &Meter::disabled());
-                d.validate(&t).unwrap_or_else(|e| panic!("{s:?} n={n}: {e}"));
-            }
+            build(&t).validate(&t).unwrap_or_else(|e| panic!("n={n}: {e}"));
         }
     }
 
@@ -283,28 +223,20 @@ mod tests {
         for n in [16u32, 64, 256, 1024, 4096] {
             let t = random_tree(n, &mut rng);
             let log2n = (n as f64).log2();
-            for (s, factor) in [(PathStrategy::HeavyPath, 1.0), (PathStrategy::Bough, 2.0)] {
-                let d = PathDecomposition::build(&t, s, &Meter::disabled());
-                let crossings = d.max_root_path_crossings(&t) as f64;
-                assert!(
-                    crossings <= factor * log2n + 2.0,
-                    "{s:?} n={n}: {crossings} crossings > {factor}*log2(n)+2"
-                );
-            }
+            let crossings = build(&t).max_root_path_crossings(&t) as f64;
+            assert!(crossings <= log2n + 2.0, "n={n}: {crossings} crossings > log2(n)+2");
         }
     }
 
     #[test]
     fn path_tree_single_path() {
         let t = path_tree(100);
-        for s in [PathStrategy::HeavyPath, PathStrategy::Bough] {
-            let d = PathDecomposition::build(&t, s, &Meter::disabled());
-            assert_eq!(d.num_paths(), 1, "{s:?}");
-            assert_eq!(d.path(0).len(), 99);
-            // Ordered shallow-to-deep.
-            assert_eq!(d.path(0)[0], 1);
-            assert_eq!(*d.path(0).last().expect("path 0 is non-empty"), 99);
-        }
+        let d = build(&t);
+        assert_eq!(d.num_paths(), 1);
+        assert_eq!(d.path(0).len(), 99);
+        // Ordered shallow-to-deep.
+        assert_eq!(d.path(0)[0], 1);
+        assert_eq!(*d.path(0).last().expect("path 0 is non-empty"), 99);
     }
 
     #[test]
@@ -312,38 +244,34 @@ mod tests {
         let n = 50u32;
         let parent: Vec<u32> = vec![0; n as usize];
         let t = RootedTree::from_parents(0, &parent);
-        for s in [PathStrategy::HeavyPath, PathStrategy::Bough] {
-            let d = PathDecomposition::build(&t, s, &Meter::disabled());
-            assert_eq!(d.num_paths(), n as usize - 1, "{s:?}");
-            assert_eq!(d.max_root_path_crossings(&t), 1);
-        }
+        let d = build(&t);
+        assert_eq!(d.num_paths(), n as usize - 1);
+        assert_eq!(d.max_root_path_crossings(&t), 1);
     }
 
     #[test]
     fn root_paths_walks_to_root() {
         let mut rng = StdRng::seed_from_u64(73);
         let t = random_tree(200, &mut rng);
-        for s in [PathStrategy::HeavyPath, PathStrategy::Bough] {
-            let d = PathDecomposition::build(&t, s, &Meter::disabled());
-            for u in 0..200u32 {
-                let rp = d.root_paths(&t, u);
-                // Union of path edges restricted to root->u chain equals chain.
-                let mut chain = Vec::new();
-                let mut v = u;
-                while v != t.root() {
-                    chain.push(v);
-                    v = t.parent(v);
-                }
-                // Every chain edge's path id must appear in rp.
-                for &e in &chain {
-                    assert!(rp.contains(&d.path_of(e)), "{s:?} u={u} missing path of edge {e}");
-                }
-                // And no duplicates.
-                let mut sorted = rp.clone();
-                sorted.sort_unstable();
-                sorted.dedup();
-                assert_eq!(sorted.len(), rp.len(), "{s:?} duplicate path ids");
+        let d = build(&t);
+        for u in 0..200u32 {
+            let rp = d.root_paths(&t, u);
+            // Union of path edges restricted to root->u chain equals chain.
+            let mut chain = Vec::new();
+            let mut v = u;
+            while v != t.root() {
+                chain.push(v);
+                v = t.parent(v);
             }
+            // Every chain edge's path id must appear in rp.
+            for &e in &chain {
+                assert!(rp.contains(&d.path_of(e)), "u={u} missing path of edge {e}");
+            }
+            // And no duplicates.
+            let mut sorted = rp.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(sorted.len(), rp.len(), "duplicate path ids");
         }
     }
 
@@ -351,7 +279,7 @@ mod tests {
     fn pos_of_matches_path_contents() {
         let mut rng = StdRng::seed_from_u64(74);
         let t = random_tree(150, &mut rng);
-        let d = PathDecomposition::build(&t, PathStrategy::Bough, &Meter::disabled());
+        let d = build(&t);
         for v in 1..150u32 {
             let pid = d.path_of(v);
             assert_eq!(d.path(pid)[d.pos_of(v) as usize], v);
@@ -361,9 +289,6 @@ mod tests {
     #[test]
     fn single_vertex_tree_empty() {
         let t = RootedTree::from_parents(0, &[0]);
-        for s in [PathStrategy::HeavyPath, PathStrategy::Bough] {
-            let d = PathDecomposition::build(&t, s, &Meter::disabled());
-            assert_eq!(d.num_paths(), 0);
-        }
+        assert_eq!(build(&t).num_paths(), 0);
     }
 }

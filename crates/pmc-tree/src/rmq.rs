@@ -166,7 +166,7 @@ impl BlockRmq {
 /// Euler-tour + [`BlockRmq`] LCA: `O(n)` build work, `O(n)` words,
 /// O(1) per query.
 ///
-/// This is the [`crate::lca::LcaStrategy::SparseTable`] engine. It
+/// [`crate::lca::LcaEngine`] answers its LCA queries from this. It
 /// answers *only* `lca`/`depth`/`distance`; level-ancestor queries
 /// (`kth_ancestor`, `ancestor_at_depth`) stay with the binary-lifting
 /// [`crate::lca::LcaTable`], which [`crate::lca::LcaEngine`] keeps

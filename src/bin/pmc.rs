@@ -37,6 +37,16 @@ fn load(path: &str) -> Result<Graph, String> {
     parse_graph(&text).map_err(|e| format!("{path}: {e}"))
 }
 
+/// Prints the no-cut line when `value` is the `u64::MAX` every solver
+/// returns for a graph with fewer than 2 vertices, and says whether it
+/// did.
+fn no_cut(value: u64) -> bool {
+    if value == u64::MAX {
+        println!("graph has fewer than 2 vertices: no cut");
+    }
+    value == u64::MAX
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { return usage() };
@@ -53,8 +63,7 @@ fn main() -> ExitCode {
             let t0 = std::time::Instant::now();
             let r = pmc_mincut::exact::exact_mincut_metered(&g, &ExactParams::default(), &meter);
             let dt = t0.elapsed();
-            if r.cut.value == u64::MAX {
-                println!("graph has fewer than 2 vertices: no cut");
+            if no_cut(r.cut.value) {
                 return ExitCode::SUCCESS;
             }
             println!("minimum cut: {}", r.cut.value);
@@ -88,10 +97,15 @@ fn main() -> ExitCode {
             match eps {
                 Some(eps) => {
                     let lam = approx_mincut_eps(&g, eps, &params, 1, &Meter::disabled());
-                    println!("(1±{eps}) approximation: {lam}");
+                    if !no_cut(lam) {
+                        println!("(1±{eps}) approximation: {lam}");
+                    }
                 }
                 None => {
                     let a = approx_mincut(&g, &params, &Meter::disabled());
+                    if no_cut(a.lambda) {
+                        return ExitCode::SUCCESS;
+                    }
                     println!("O(1) approximation: {}", a.lambda);
                     println!("skeleton layer: {} (exact: {})", a.layer, a.below_window);
                 }
@@ -108,6 +122,9 @@ fn main() -> ExitCode {
             };
             let t0 = std::time::Instant::now();
             let c = stoer_wagner_mincut(&g);
+            if no_cut(c.value) {
+                return ExitCode::SUCCESS;
+            }
             println!("minimum cut (Stoer–Wagner): {} in {:?}", c.value, t0.elapsed());
             ExitCode::SUCCESS
         }

@@ -1,7 +1,8 @@
 //! The `pmc` binary rejects out-of-range arguments with an `error:`
 //! line and exit code 2, and an unreadable graph file with an `error:`
 //! line and exit code 1, instead of panicking inside a library
-//! `assert!`, and still answers a valid request.
+//! `assert!`, and still answers a valid request. A graph with fewer
+//! than 2 vertices gets the same no-cut line from every solver.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -61,6 +62,25 @@ fn stats_rejects_a_vertex_count_beyond_u32() {
         assert_eq!(out.status.code(), Some(1), "{header}: stderr {stderr}");
         assert!(stderr.starts_with("error: "), "{header}: stderr {stderr}");
         assert!(stderr.contains("vertices"), "{header}: stderr {stderr}");
+    }
+    std::fs::remove_file(&graph).ok();
+}
+
+#[test]
+fn every_solver_reports_no_cut_below_two_vertices() {
+    let graph = temp_path("one-vertex.txt");
+    let graph_arg = graph.to_str().expect("utf-8 temp path");
+    std::fs::write(&graph, "p 1 0\n").expect("temp file written");
+    for args in [
+        &["approx", graph_arg][..],
+        &["approx", graph_arg, "0.5"],
+        &["oracle", graph_arg],
+        &["exact", graph_arg],
+    ] {
+        let out = pmc(args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        assert_eq!(stdout, "graph has fewer than 2 vertices: no cut\n", "{args:?}");
     }
     std::fs::remove_file(&graph).ok();
 }

@@ -3,21 +3,19 @@
 //!
 //! On the fishbone workload (`pmc_graph::generators::fishbone`) every
 //! spine edge's interesting path spans the whole spine, and each spine
-//! step is a light edge heading a fresh heavy chain. Heavy-path descent
-//! therefore pays a chain binary search per level — `Θ(log² n)` cut
+//! step is a light edge heading a fresh heavy chain. A heavy-path
+//! descent would pay a chain binary search per level — `Θ(log² n)` cut
 //! queries per edge — while centroid descent (Claim 4.13) re-anchors
 //! with `O(1)` queries per centroid level, `O(log n)` per edge. The
 //! assertions below pin:
 //!
-//! 1. an absolute ratio bound `max queries ≤ 3.5 · log₂ n` for the
-//!    centroid strategy (measured slope ≈ 2.5, margin documented);
-//! 2. *additive* growth per doubling for centroid descent (a `log² n`
-//!    curve grows by `Θ(log n)` per doubling, which the bound excludes
-//!    at these sizes — heavy-path's increments already exceed it);
-//! 3. strict superiority over heavy-path at the largest size, with a
-//!    1.5× margin (measured ≈ 2.4×).
+//! 1. an absolute ratio bound `max queries ≤ 3.5 · log₂ n` (measured
+//!    slope ≈ 2.5, margin documented);
+//! 2. *additive* growth per doubling (a `log² n` curve grows by
+//!    `Θ(log n)` per doubling, which the bound excludes at these
+//!    sizes).
 //!
-//! Counts are deterministic (the workload and both descents are), so
+//! Counts are deterministic (the workload and the descent are), so
 //! this runs as a regular test; CI also runs it under `--release`
 //! where the larger sizes are cheap.
 
@@ -25,7 +23,7 @@ use parallel_mincut::prelude::*;
 use pmc_mincut::{CutQuery, InterestEngine, InterestSearch};
 use pmc_tree::RootedTree;
 
-/// Per-spine-edge cut-query statistics of `arms()` for one strategy.
+/// Per-spine-edge cut-query statistics of `arms()`.
 fn arm_query_stats(levels: usize, strategy: InterestStrategy) -> (u64, f64) {
     let (g, parent, spine) = pmc_graph::generators::fishbone(levels, 8);
     let tree = std::sync::Arc::new(RootedTree::from_parents(0, &parent));
@@ -65,8 +63,8 @@ fn centroid_descent_is_logarithmic() {
         assert!(avg <= max as f64);
         // (2) Additive growth per doubling: an O(log n) curve gains a
         // constant per level; a log² curve's increments grow with n and
-        // already exceed this bound at these sizes (heavy-path gains
-        // ~levels per doubling here).
+        // already exceed this bound at these sizes (a heavy-path descent
+        // gains ~levels per doubling here).
         if let Some(p) = prev_max {
             assert!(
                 max.saturating_sub(p) <= 6,
@@ -76,37 +74,4 @@ fn centroid_descent_is_logarithmic() {
         }
         prev_max = Some(max);
     }
-}
-
-#[test]
-fn heavy_path_descent_is_not_logarithmic_here() {
-    // Guard the guard: the workload really does drive heavy-path into
-    // its quadratic regime, so the comparison below means something.
-    // The measured curve sits at ≈ 0.47·log²n; requiring ≥ 0.3·log²n
-    // (and growth faster than any 3.5·log n at the top size) keeps the
-    // test meaningful without over-pinning constants.
-    let levels = *LEVELS.last().unwrap();
-    let (max, _) = arm_query_stats(levels, InterestStrategy::HeavyPath);
-    let lg = n_of(levels).log2();
-    assert!(
-        (max as f64) >= 0.3 * lg * lg,
-        "heavy-path max {max} unexpectedly cheap (< 0.3·log²n = {:.1})",
-        0.3 * lg * lg
-    );
-    assert!((max as f64) > 3.5 * lg, "heavy-path stayed within the centroid budget");
-}
-
-#[test]
-fn centroid_descent_beats_heavy_path_at_scale() {
-    let levels = *LEVELS.last().unwrap();
-    let (heavy_max, heavy_avg) = arm_query_stats(levels, InterestStrategy::HeavyPath);
-    let (centroid_max, centroid_avg) = arm_query_stats(levels, InterestStrategy::Centroid);
-    assert!(
-        (centroid_max as f64) * 1.5 <= heavy_max as f64,
-        "centroid max {centroid_max} not clearly below heavy-path max {heavy_max}"
-    );
-    assert!(
-        centroid_avg * 1.5 <= heavy_avg,
-        "centroid avg {centroid_avg:.1} not clearly below heavy-path avg {heavy_avg:.1}"
-    );
 }

@@ -31,10 +31,10 @@ fn paper_preset_pipeline_is_exact() {
 
 #[test]
 fn caterpillar_trees_stress() {
-    // Caterpillar spanning trees (a long spine with legs) exercise both
-    // decomposition strategies' worst-ish cases: one long path plus many
+    // Caterpillar spanning trees (a long spine with legs) exercise the
+    // heavy-path decomposition's worst-ish case: one long path plus many
     // singleton paths.
-    use pmc_tree::{PathStrategy, RootedTree};
+    use pmc_tree::RootedTree;
     let mut rng = StdRng::seed_from_u64(43);
     let spine = 30u32;
     let mut edges: Vec<(u32, u32)> = (1..spine).map(|i| (i - 1, i)).collect();
@@ -60,11 +60,8 @@ fn caterpillar_trees_stress() {
     }
     let g = gb.build();
     let naive = naive_two_respecting(&g, &tree, 0.4, &Meter::disabled());
-    for strategy in [PathStrategy::HeavyPath, PathStrategy::Bough] {
-        let params = TwoRespectParams { strategy, ..TwoRespectParams::default() };
-        let fast = two_respecting_mincut(&g, &tree, &params, &Meter::disabled());
-        assert_eq!(fast.cut.value, naive.cut.value, "{strategy:?}");
-    }
+    let fast = two_respecting_mincut(&g, &tree, &TwoRespectParams::default(), &Meter::disabled());
+    assert_eq!(fast.cut.value, naive.cut.value);
 }
 
 #[test]

@@ -111,12 +111,10 @@ proptest! {
         n in 4usize..18,
         extra in 0usize..35,
         seed in 0u64..1000,
-        strategy in prop_oneof![Just(PathStrategy::HeavyPath), Just(PathStrategy::Bough)],
     ) {
         let g = graph_from(n, extra, 9, seed);
         let t = spanning_tree(&g, 0);
-        let params = TwoRespectParams { strategy, ..TwoRespectParams::default() };
-        let fast = two_respecting_mincut(&g, &t, &params, &Meter::disabled());
+        let fast = two_respecting_mincut(&g, &t, &TwoRespectParams::default(), &Meter::disabled());
         let naive = naive_two_respecting(&g, &t, 0.4, &Meter::disabled());
         prop_assert_eq!(fast.cut.value, naive.cut.value);
     }
@@ -134,7 +132,7 @@ proptest! {
         let lca = LcaEngine::build(&t, LcaStrategy::default(), &Meter::disabled());
         let q = pmc_mincut::CutQuery::build(&g, &t, &lca, 0.5, &Meter::disabled());
         let m = Meter::disabled();
-        let d = PathDecomposition::build(&t, PathStrategy::HeavyPath, &m);
+        let d = PathDecomposition::build(&t, PathStrategy::default(), &m);
         for p in d.paths() {
             let l = p.len();
             for i in 0..l.saturating_sub(1) {
@@ -176,8 +174,7 @@ proptest! {
         }
     }
 
-    /// Interest arms cover the brute-force interesting set — under both
-    /// arm-tracing strategies.
+    /// Interest arms cover the brute-force interesting set.
     #[test]
     fn interest_arms_cover(
         n in 5usize..16,
@@ -189,35 +186,30 @@ proptest! {
         let lca = LcaEngine::build(&t, LcaStrategy::default(), &Meter::disabled());
         let q = pmc_mincut::CutQuery::build(&g, &t, &lca, 0.5, &Meter::disabled());
         let m = Meter::disabled();
-        for strategy in [InterestStrategy::HeavyPath, InterestStrategy::Centroid] {
-            let engine = pmc_mincut::InterestEngine::build(&t, strategy, &m);
-            let is = pmc_mincut::InterestSearch::new(&q, &lca, &engine);
-            for e in 1..g.n() as u32 {
-                let arms = is.arms(e, &m);
-                let mut cover = std::collections::HashSet::new();
-                for mut v in [arms.de, arms.ce] {
-                    loop {
-                        cover.insert(v);
-                        if v == t.root() {
-                            break;
-                        }
-                        v = t.parent(v);
+        let engine = pmc_mincut::InterestEngine::build(&t, InterestStrategy::default(), &m);
+        let is = pmc_mincut::InterestSearch::new(&q, &lca, &engine);
+        for e in 1..g.n() as u32 {
+            let arms = is.arms(e, &m);
+            let mut cover = std::collections::HashSet::new();
+            for mut v in [arms.de, arms.ce] {
+                loop {
+                    cover.insert(v);
+                    if v == t.root() {
+                        break;
                     }
+                    v = t.parent(v);
                 }
-                for f in is.brute_interesting_set(e, &m) {
-                    prop_assert!(
-                        cover.contains(&f),
-                        "{:?}: edge {} not covered for e={}", strategy, f, e
-                    );
-                }
+            }
+            for f in is.brute_interesting_set(e, &m) {
+                prop_assert!(cover.contains(&f), "edge {} not covered for e={}", f, e);
             }
         }
     }
 
     /// Claim 4.8 as a property: the interesting set `Π(e)` is a single
     /// tree path through `e` — connected, and no vertex of `Π(e) ∪ {e}`
-    /// is incident to more than two of its edges — and both arm-tracing
-    /// strategies locate exactly the same (unique) arm endpoints.
+    /// is incident to more than two of its edges — and the centroid
+    /// descent locates exactly its (unique) brute-force arm endpoints.
     #[test]
     fn interesting_set_is_single_path(
         n in 5usize..16,
@@ -230,12 +222,10 @@ proptest! {
         let lca = LcaEngine::build(&t, LcaStrategy::default(), &Meter::disabled());
         let q = pmc_mincut::CutQuery::build(&g, &t, &lca, 0.5, &Meter::disabled());
         let m = Meter::disabled();
-        let heavy_engine = pmc_mincut::InterestEngine::build(&t, InterestStrategy::HeavyPath, &m);
-        let heavy = pmc_mincut::InterestSearch::new(&q, &lca, &heavy_engine);
-        let centroid_engine = pmc_mincut::InterestEngine::build(&t, InterestStrategy::Centroid, &m);
-        let centroid = pmc_mincut::InterestSearch::new(&q, &lca, &centroid_engine);
+        let engine = pmc_mincut::InterestEngine::build(&t, InterestStrategy::default(), &m);
+        let is = pmc_mincut::InterestSearch::new(&q, &lca, &engine);
         for e in 1..g.n() as u32 {
-            let set = heavy.brute_interesting_set(e, &m);
+            let set = is.brute_interesting_set(e, &m);
             let path: std::collections::HashSet<u32> =
                 set.iter().copied().chain([e]).collect();
             // Connectivity: every edge of Π(e) reaches e through
@@ -263,20 +253,13 @@ proptest! {
             for (v, deg) in incident {
                 prop_assert!(deg <= 2, "e={}: Π(e)∪{{e}} branches at vertex {}", e, v);
             }
-            // Both strategies find the same, unique endpoints.
-            let ah = heavy.arms(e, &m);
-            let ac = centroid.arms(e, &m);
-            prop_assert_eq!(ah, ac, "strategies disagree at e={}", e);
             // Tightness: de is the deepest interesting strict
             // descendant of e (or e itself), ce the deepest interesting
             // edge incomparable with e (or e itself).
-            let deepest = |pred: &dyn Fn(u32) -> bool| -> Option<u32> {
-                set.iter().copied().filter(|&f| pred(f)).max_by_key(|&f| t.depth(f))
-            };
-            let de = deepest(&|f| f != e && t.is_ancestor(e, f)).unwrap_or(e);
-            let ce = deepest(&|f| !t.is_ancestor(e, f) && !t.is_ancestor(f, e)).unwrap_or(e);
-            prop_assert_eq!(ah.de, de, "de not tight at e={}", e);
-            prop_assert_eq!(ah.ce, ce, "ce not tight at e={}", e);
+            let arms = is.arms(e, &m);
+            let brute = is.brute_arms(e, &m);
+            prop_assert_eq!(arms.de, brute.de, "de not tight at e={}", e);
+            prop_assert_eq!(arms.ce, brute.ce, "ce not tight at e={}", e);
         }
     }
 
@@ -439,9 +422,9 @@ proptest! {
         }
     }
 
-    /// Sparse-table (Euler tour) LCA equals binary lifting on random
-    /// rooted trees under forced 1/2/4-thread pools, with the sparse
-    /// path charging exactly one [`CostKind::LcaStep`] per query.
+    /// The engine's sparse-table (Euler tour) LCA equals its binary
+    /// lifting table on random rooted trees under forced 1/2/4-thread
+    /// pools, charging exactly one [`CostKind::LcaStep`] per query.
     #[test]
     fn sparse_and_lifting_lca_agree_across_pools(
         n in 2u32..400,
@@ -461,15 +444,14 @@ proptest! {
                 .build()
                 .expect("pool");
             let steps = pool.install(|| {
-                let lifting = LcaEngine::build(&t, LcaStrategy::Lifting, &Meter::disabled());
-                let sparse =
-                    LcaEngine::build(&t, LcaStrategy::SparseTable, &Meter::disabled());
+                let engine = LcaEngine::build(&t, LcaStrategy::default(), &Meter::disabled());
+                let lifting = engine.table();
                 let meter = Meter::enabled();
                 for &(x, y) in &pairs {
                     let l = lifting.lca(x, y);
-                    assert_eq!(sparse.lca(x, y), l, "lca({x},{y}) at {threads} threads");
-                    assert_eq!(sparse.lca_metered(x, y, &meter), l);
-                    assert_eq!(sparse.distance(x, y), lifting.distance(x, y));
+                    assert_eq!(engine.lca(x, y), l, "lca({x},{y}) at {threads} threads");
+                    assert_eq!(engine.lca_metered(x, y, &meter), l);
+                    assert_eq!(engine.distance(x, y), lifting.distance(x, y));
                 }
                 meter.get(CostKind::LcaStep)
             });
